@@ -5,11 +5,10 @@ from .specfun import (FracParams, GammaPoleError, ParameterDomainError,
                       gamma, gamma_ns, gamma_nse, gauss_2f1,
                       normalization_constant)
 from .domains import (Chart, DiskDeviation, DomainParameterError,
-                      ImplicitDomain, ProjectionError, Regularity,
-                      ShapeMetrics, ball, boundary_distance, boundary_samples,
-                      bump_domain, ellipsoid, erode, from_recipe,
-                      radial_extremes, shape_metrics, signed_distance,
-                      to_recipe)
+                      ImplicitDomain, ProjectionError, ShapeMetrics, ball,
+                      boundary_distance, boundary_samples, bump_domain,
+                      ellipsoid, erode, from_recipe, radial_extremes,
+                      shape_metrics, signed_distance, to_recipe)
 from .frlap import (EvaluationPointError, FrlapResult, QuadratureConfig,
                     ScalarField, UnsupportedDimensionError, barrier,
                     frlap_eval, power_field, torsion_ball, torsion_ellipsoid,
@@ -25,7 +24,7 @@ from .seminorm import (EllipsoidChart, OptimBudget, SeminormResult,
                        ellipsoid_chart, ellipsoid_ratio_limit,
                        ellipsoid_seminorm, ellipsoid_seminorm_ratio,
                        lipschitz_seminorm, phi0_quotient, phi0_quotient_sup,
-                       psi_profile, psi_profile_check, psi_profile_derivative,
+                       psi_profile, psi_profile_derivative,
                        richardson_limit)
 from .experiments import (FitResult, LemmaResult, ProbeResult, ScanResult,
                           config_hash, counterexample_scan, exponent_fit,

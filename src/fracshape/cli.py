@@ -3,9 +3,10 @@
 Every subcommand runs from a reproducible config: numeric flags are kept
 as decimal strings and echoed verbatim into the JSON summary, artifact
 file names derive from a content hash of {command, params, seed}, and
-re-running the same config reproduces every output byte.  Validation
-failures exit with status 2 and a machine-readable JSON object on
-standard error.
+re-running the same config reproduces every output byte.  Failures print
+a machine-readable JSON object ``{"error", "command"}`` on standard error
+and exit with status 2 for invalid input, or 3 for a numerical failure
+(a boundary projection that misses its residual tolerance, for instance).
 """
 
 from __future__ import annotations
@@ -41,26 +42,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     seed: int = 0
     output_path: str = "."
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "params": self.params,
-                           "seed": self.seed, "output_path": self.output_path},
-                          sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        raw = json.loads(text)
-        known = {"command", "params", "seed", "output_path"}
-        unknown = set(raw) - known
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        if "command" not in raw:
-            raise CliError("config is missing 'command'")
-        params = {str(k): v if isinstance(v, str) else str(v)
-                  for k, v in raw.get("params", {}).items()}
-        return cls(command=str(raw["command"]), params=params,
-                   seed=int(raw.get("seed", 0)),
-                   output_path=str(raw.get("output_path", ".")))
 
 
 # flag table per subcommand; None marks a required flag
@@ -117,6 +98,9 @@ def _collect_config(args) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"config is not valid JSON: {exc}") from exc
+        unknown = set(raw) - {"command", "params", "seed", "output_path"}
+        if unknown:
+            raise CliError(f"unknown config keys: {sorted(unknown)}")
         if raw.get("command", args.command) != args.command:
             raise CliError(f"config command {raw.get('command')!r} does not match "
                            f"subcommand {args.command!r}")
@@ -369,6 +353,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -376,10 +361,12 @@ def main(argv=None) -> int:
         cfg = _collect_config(args)
         return _DISPATCH[cfg.command](cfg)
     except (CliError, ValueError, OSError) as exc:
-        payload = {"error": str(exc),
-                   "command": getattr(args, "command", None) if "args" in locals() else None}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 2
+        error, code = exc, 2
+    except RuntimeError as exc:  # ProjectionError and other numerical failures
+        error, code = exc, 3
+    payload = {"error": str(error), "command": getattr(args, "command", None)}
+    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

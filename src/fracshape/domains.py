@@ -3,6 +3,11 @@
 Domains are level-set based (negative inside).  All callables stored on a
 domain are vectorized over a trailing coordinate axis: points have shape
 ``(..., n)`` and values come back with shape ``(...,)``.
+
+Every boundary quantity read off the charts (samples, support values, radial
+extremes, distances, the moving-plane excess) uses one primitive: a uniform
+node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
+section within two node spacings of each (``polish``).
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .optim import coordinate_descent, golden_max, golden_min
 
@@ -39,15 +45,6 @@ class Chart:
 
 
 @dataclass(frozen=True)
-class Regularity:
-    """Claimed boundary regularity: a C^alpha bound M valid at scale rho."""
-
-    alpha: float
-    M: float
-    rho: float
-
-
-@dataclass(frozen=True)
 class DiskDeviation:
     """Certificate that the domain agrees with the disk of ``radius``
     (centered at the origin) outside the given boxes.
@@ -66,7 +63,6 @@ class ImplicitDomain:
     bbox: np.ndarray
     exact_sdf: Optional[Callable[[np.ndarray], np.ndarray]] = None
     boundary_param: Optional[tuple] = None
-    regularity: Optional[Regularity] = None
     interior_ball_radius: Optional[float] = None
     normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_fn: Optional[Callable[[np.ndarray], float]] = None
@@ -136,8 +132,7 @@ def ball(center, r) -> ImplicitDomain:
         normal=normal,
         support_fn=lambda e: float(center @ np.asarray(e, dtype=float)) + rf,
         disk_deviation=dev,
-        recipe={"kind": "ball", "params": {"center": [_dec(c) for c in center], "r": _dec(r)},
-                "regularity": None},
+        recipe={"kind": "ball", "params": {"center": [_dec(c) for c in center], "r": _dec(r)}},
     )
 
 
@@ -246,8 +241,7 @@ def _ellipsoid_domain(n: int, eps, eps_str=None) -> ImplicitDomain:
         interior_ball_radius=1.0 / a,
         normal=normal,
         support_fn=support,
-        recipe={"kind": "ellipsoid", "params": {"n": n, "eps": eps_str or _dec(eps)},
-                "regularity": None},
+        recipe={"kind": "ellipsoid", "params": {"n": n, "eps": eps_str or _dec(eps)}},
     )
 
 
@@ -309,7 +303,7 @@ _ARC_LO = 5.0 * math.pi / 3.0
 _ARC_HI = 3.0 * math.pi / 2.0 + 2.0 * math.pi
 
 
-def bump_domain(eps, alpha, hold_M: float = 16.0) -> ImplicitDomain:
+def bump_domain(eps, alpha) -> ImplicitDomain:
     """Unit disk with a localized boundary bump of height ~eps.
 
     The boundary follows the unit circle except over the strip
@@ -381,16 +375,33 @@ def bump_domain(eps, alpha, hold_M: float = 16.0) -> ImplicitDomain:
         level=level,
         bbox=np.array([[-margin, -margin], [margin, margin]]),
         boundary_param=charts,
-        regularity=Regularity(alpha=alphaf, M=float(hold_M), rho=0.125),
         normal=normal,
         disk_deviation=DiskDeviation(radius=1.0, boxes=(box,)),
-        recipe={"kind": "bump", "params": {"eps": _dec(eps), "alpha": _dec(alpha)},
-                "regularity": {"alpha": _dec(alpha), "M": _dec(hold_M), "rho": "0.125"}},
+        recipe={"kind": "bump", "params": {"eps": _dec(eps), "alpha": _dec(alpha)}},
     )
 
 
 # ---------------------------------------------------------------------------
 # boundary sampling and distances
+
+
+def chart_nodes(ch: Chart, m: int, phase: float = 0.5):
+    """Uniform node grid on a chart: ``m`` nodes, or ``4 m`` on a dense chart.
+
+    Node ``k`` sits at parameter ``lo + (k + phase) * spacing``.  Returns
+    ``(t, points, spacing)``.
+    """
+    m = m * (4 if ch.dense else 1)
+    t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + phase) / m
+    return t, np.asarray(ch.fn(t), dtype=float), (ch.hi - ch.lo) / m
+
+
+def polish(fn, ch: Chart, t0, spacing: float, maximize: bool):
+    """Golden-section extremum of ``fn`` within two node spacings of ``t0``,
+    clipped to the chart; vectorized over ``t0``.  Returns ``(t, value)``."""
+    lo = np.maximum(ch.lo, t0 - 2.0 * spacing)
+    hi = np.minimum(ch.hi, t0 + 2.0 * spacing)
+    return (golden_max if maximize else golden_min)(fn, lo, hi)
 
 
 def boundary_samples(d: ImplicitDomain, n: int = 4096) -> np.ndarray:
@@ -401,41 +412,26 @@ def boundary_samples(d: ImplicitDomain, n: int = 4096) -> np.ndarray:
     """
     if not d.boundary_param:
         raise ProjectionError("domain has no boundary parametrization to sample")
-    charts = d.boundary_param
-    base = max(64, n // max(1, len(charts)))
-    pieces = []
-    for ch in charts:
-        m = base * (4 if ch.dense else 1)
-        t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + 0.5) / m
-        pieces.append(np.asarray(ch.fn(t), dtype=float))
-    return np.concatenate(pieces, axis=0)
+    m = max(64, n // len(d.boundary_param))
+    return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param], axis=0)
 
 
-def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray, m_per_chart: int = 2048,
-                        chunk: int = 2048) -> np.ndarray:
-    """Distance from each point to the sampled-and-refined boundary."""
+def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
+    """Distance from each point to the sampled-and-refined boundary.  Each
+    chart gets its own KD-tree: charts may overlap (the bump's dense support
+    chart lies on its graph chart) and a node's parameter is chart-local."""
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
     best = np.full(flat.shape[0], np.inf)
     for ch in d.boundary_param:
-        m = m_per_chart * (4 if ch.dense else 1)
-        tgrid = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + 0.5) / m
-        nodes = np.asarray(ch.fn(tgrid), dtype=float)
-        spacing = (ch.hi - ch.lo) / m
-        for start in range(0, flat.shape[0], chunk):
-            block = flat[start:start + chunk]
-            d2 = np.sum((block[:, None, :] - nodes[None, :, :]) ** 2, axis=-1)
-            idx = np.argmin(d2, axis=1)
-            t0 = tgrid[idx]
+        t, nodes, spacing = chart_nodes(ch, 2048)
+        _, idx = cKDTree(nodes).query(flat)
 
-            def gap(t, block=block):
-                return np.linalg.norm(np.asarray(ch.fn(t), dtype=float) - block, axis=-1)
+        def gap(tt, _fn=ch.fn):
+            return np.linalg.norm(np.asarray(_fn(tt), dtype=float) - flat, axis=-1)
 
-            lo = np.maximum(ch.lo, t0 - 1.5 * spacing)
-            hi = np.minimum(ch.hi, t0 + 1.5 * spacing)
-            _, dist = golden_min(gap, lo, hi)
-            best[start:start + chunk] = np.minimum(best[start:start + chunk],
-                                                   np.atleast_1d(dist))
+        _, dist = polish(gap, ch, t[idx], spacing, maximize=False)
+        best = np.minimum(best, dist)
     return best.reshape(pts.shape[:-1])
 
 
@@ -499,8 +495,7 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 
     recipe = None
     if d.recipe is not None:
-        recipe = {"kind": "eroded", "params": {"parent": d.recipe, "rho": _dec(rho)},
-                  "regularity": None}
+        recipe = {"kind": "eroded", "params": {"parent": d.recipe, "rho": _dec(rho)}}
     return ImplicitDomain(
         level=level,
         bbox=d.bbox.copy(),
@@ -519,23 +514,18 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 def _refined_extremes(d: ImplicitDomain, center: np.ndarray, n: int = 4096):
     """(min, max) of |x - center| over the boundary, chart-refined."""
     lo_best, hi_best = np.inf, -np.inf
+    m = max(256, n // len(d.boundary_param))
     for ch in d.boundary_param:
-        m = max(256, n // max(1, len(d.boundary_param))) * (4 if ch.dense else 1)
-        t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + 0.5) / m
-        vals = np.linalg.norm(np.asarray(ch.fn(t), dtype=float) - center, axis=-1)
-        spacing = (ch.hi - ch.lo) / m
+        t, pts, spacing = chart_nodes(ch, m)
+        order = np.argsort(np.linalg.norm(pts - center, axis=-1))
 
-        def gap(tt):
-            return np.linalg.norm(np.asarray(ch.fn(tt), dtype=float) - center, axis=-1)
+        def gap(tt, _fn=ch.fn):
+            return np.linalg.norm(np.asarray(_fn(tt), dtype=float) - center, axis=-1)
 
-        for idx in np.argsort(vals)[:4]:
-            t0 = t[idx]
-            _, v = golden_min(gap, max(ch.lo, t0 - 2 * spacing), min(ch.hi, t0 + 2 * spacing))
-            lo_best = min(lo_best, float(v))
-        for idx in np.argsort(vals)[-4:]:
-            t0 = t[idx]
-            _, v = golden_max(gap, max(ch.lo, t0 - 2 * spacing), min(ch.hi, t0 + 2 * spacing))
-            hi_best = max(hi_best, float(v))
+        _, v_lo = polish(gap, ch, t[order[:4]], spacing, maximize=False)
+        _, v_hi = polish(gap, ch, t[order[-4:]], spacing, maximize=True)
+        lo_best = min(lo_best, float(np.min(v_lo)))
+        hi_best = max(hi_best, float(np.max(v_hi)))
     return lo_best, hi_best
 
 
@@ -593,24 +583,20 @@ def from_recipe(recipe: dict) -> ImplicitDomain:
         center = [float(c) for c in params["center"]]
         dom = ball(center, float(params["r"]))
         fixed = {"kind": "ball", "params": {"center": list(params["center"]),
-                                            "r": params["r"]}, "regularity": None}
+                                            "r": params["r"]}}
         return replace(dom, recipe=fixed)
     if kind == "ellipsoid":
         return _ellipsoid_domain(int(params["n"]), float(params["eps"]),
                                  eps_str=params["eps"])
     if kind == "bump":
-        reg = recipe.get("regularity") or {}
-        dom = bump_domain(float(params["eps"]), float(params["alpha"]),
-                          hold_M=float(reg.get("M", 16.0)))
+        dom = bump_domain(float(params["eps"]), float(params["alpha"]))
         fixed = {"kind": "bump",
-                 "params": {"eps": params["eps"], "alpha": params["alpha"]},
-                 "regularity": {"alpha": params["alpha"],
-                                "M": reg.get("M", "16.0"), "rho": "0.125"}}
+                 "params": {"eps": params["eps"], "alpha": params["alpha"]}}
         return replace(dom, recipe=fixed)
     if kind == "eroded":
         parent = from_recipe(params["parent"])
         dom = erode(parent, float(params["rho"]))
         fixed = {"kind": "eroded", "params": {"parent": to_recipe(parent),
-                                              "rho": params["rho"]}, "regularity": None}
+                                              "rho": params["rho"]}}
         return replace(dom, recipe=fixed)
     raise DomainParameterError(f"unknown domain recipe kind {kind!r}")

@@ -72,7 +72,6 @@ class ScalarField:
 
     eval: Callable[[np.ndarray], np.ndarray]
     support: ImplicitDomain
-    smoothness_note: str
     params: FracParams
     power_quad: Optional[tuple] = None
     kink_at_support: bool = True
@@ -97,8 +96,7 @@ def power_field(p: FracParams, Q: np.ndarray, amp: float,
         q = np.einsum("...i,ij,...j", pts, Q, pts)
         return amp * np.maximum(0.0, 1.0 - q) ** s
 
-    return ScalarField(eval=eval_, support=support, smoothness_note="closed-form",
-                       params=p, power_quad=(Q, float(amp)))
+    return ScalarField(eval=eval_, support=support, params=p, power_quad=(Q, float(amp)))
 
 
 def torsion_ball(p: FracParams) -> ScalarField:
@@ -118,7 +116,7 @@ def torsion_ellipsoid(p: FracParams, eps: float) -> ScalarField:
 def zero_field(p: FracParams) -> ScalarField:
     dom = ball(np.zeros(p.n), 1.0)
     return ScalarField(eval=lambda pts: np.zeros(np.asarray(pts, dtype=float).shape[:-1]),
-                       support=dom, smoothness_note="closed-form", params=p,
+                       support=dom, params=p,
                        kink_at_support=False, inner_scale=0.5)
 
 
@@ -160,8 +158,8 @@ def barrier(p: FracParams, a, rho: float) -> ScalarField:
     lo = np.minimum(a, a_mirror) - rho
     hi = np.maximum(a, a_mirror) + rho
     support = ImplicitDomain(level=level, bbox=np.stack([lo, hi]))
-    return ScalarField(eval=eval_, support=support, smoothness_note="closed-form",
-                       params=p, kink_at_support=False, inner_scale=rho / 2.0)
+    return ScalarField(eval=eval_, support=support, params=p, kink_at_support=False,
+                       inner_scale=rho / 2.0)
 
 
 @lru_cache(maxsize=64)

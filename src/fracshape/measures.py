@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .domains import ImplicitDomain, boundary_distance, radial_extremes
-from .movingplanes import CriticalPlaneResult, reflect
+from .movingplanes import CriticalPlaneResult, reflect, reflected_box
 
 _AUX_SEED_OFFSET = 0x5EED
 
@@ -83,19 +83,12 @@ def _hull_box(*boxes) -> np.ndarray:
     return np.stack([los.min(axis=0), his.max(axis=0)])
 
 
-def _reflected_box(box: np.ndarray, lam: float, e: np.ndarray) -> np.ndarray:
-    n = box.shape[1]
-    corners = box[np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n), np.arange(n)]
-    refl = reflect(corners, lam, e)
-    return np.stack([refl.min(axis=0), refl.max(axis=0)])
-
-
 def sym_diff_measure(d: ImplicitDomain, res: CriticalPlaneResult, n: int,
                      seed: int = 0) -> MeasureEstimate:
     """Measure of the symmetric difference between the domain and its
     reflection across the critical plane."""
     e, lam = np.asarray(res.e, dtype=float), float(res.lam)
-    box = _hull_box(d.bbox, _reflected_box(d.bbox, lam, e))
+    box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
 
     def pred(pts):
         return d.contains(pts) ^ d.contains(reflect(pts, lam, e))
@@ -110,7 +103,7 @@ def one_sided_diff_measure(d: ImplicitDomain, res: CriticalPlaneResult, n: int,
     the reflected domain misses: (domain intersect {x.e < lambda}) minus
     its own reflection."""
     e, lam = np.asarray(res.e, dtype=float), float(res.lam)
-    box = _hull_box(d.bbox, _reflected_box(d.bbox, lam, e))
+    box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
 
     def pred(pts):
         side = np.sum(pts * e, axis=-1) - lam
@@ -169,7 +162,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
             return MeasureEstimate(value=base, error=err_geom, method="closed-form",
                                    n_samples=0, seed=seed)
         box = np.asarray(dev.boxes[0], dtype=float)
-        region = _hull_box(box, _reflected_box(box, lam, e))
+        region = _hull_box(box, reflected_box(box, lam, e))
         disk = np.zeros(2)
 
         def correction(pts):
@@ -184,7 +177,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         return MeasureEstimate(value=base + area * mean, error=area * bar + err_geom,
                                method="monte-carlo", n_samples=n, seed=seed)
 
-    box = _hull_box(d.bbox, _reflected_box(d.bbox, lam, e))
+    box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
     axis = int(np.argmax(np.abs(e)))
     if abs(abs(float(e[axis])) - 1.0) < 1e-14:
         # Axis-aligned plane: clip the sampling box to the band itself.

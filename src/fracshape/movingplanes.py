@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import Chart, ImplicitDomain, ProjectionError
-from .optim import golden_max
+from .domains import Chart, ImplicitDomain, ProjectionError, chart_nodes, polish
 
 TAG_TANGENCY = "internal-tangency"
 TAG_ORTHOGONAL = "boundary-orthogonality"
@@ -54,6 +53,15 @@ def reflect(x, mu: float, e) -> np.ndarray:
     return x - 2.0 * side[..., None] * e
 
 
+def reflected_box(box: np.ndarray, lam: float, e) -> np.ndarray:
+    """Bounding box of the mirror image of ``box`` (a ``(2, n)`` array of
+    lower and upper corners) across the plane {x.e = lam}."""
+    n = box.shape[1]
+    corners = box[np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n), np.arange(n)]
+    refl = reflect(corners, lam, e)
+    return np.stack([refl.min(axis=0), refl.max(axis=0)])
+
+
 def support_value(d: ImplicitDomain, e) -> float:
     """sup of x.e over the domain (exact when the domain knows it)."""
     e = _unit(e)
@@ -63,33 +71,21 @@ def support_value(d: ImplicitDomain, e) -> float:
         raise ProjectionError("support value needs a boundary parametrization")
     best = -math.inf
     for ch in d.boundary_param:
-        m = 4096 * (4 if ch.dense else 1)
-        t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + 0.5) / m
-        vals = np.asarray(ch.fn(t), dtype=float) @ e
-        spacing = (ch.hi - ch.lo) / m
+        t, pts, spacing = chart_nodes(ch, 4096)
 
         def height(tt, _fn=ch.fn):
             return np.asarray(_fn(tt), dtype=float) @ e
 
-        for idx in np.argsort(vals)[-4:]:
-            lo = max(ch.lo, t[idx] - 2.0 * spacing)
-            hi = min(ch.hi, t[idx] + 2.0 * spacing)
-            _, v = golden_max(height, lo, hi)
-            best = max(best, float(v))
+        _, v = polish(height, ch, t[np.argsort(pts @ e)[-4:]], spacing, maximize=True)
+        best = max(best, float(np.max(v)))
     return best
 
 
 def _chart_grids(d: ImplicitDomain, n: int, seed: int):
-    """Deterministic per-chart parameter grids (seed shifts the phase)."""
-    charts = d.boundary_param
-    base = max(64, n // max(1, len(charts)))
+    """Per-chart node grids ``(chart, t, points, spacing)``; seed shifts the phase."""
+    m = max(64, n // len(d.boundary_param))
     phase = (0.5 + seed * 0.6180339887498949) % 1.0
-    grids = []
-    for ch in charts:
-        m = base * (4 if ch.dense else 1)
-        t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + phase) / m
-        grids.append((ch, t, np.asarray(ch.fn(t), dtype=float)))
-    return grids
+    return [(ch, *chart_nodes(ch, m, phase)) for ch in d.boundary_param]
 
 
 def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True):
@@ -101,7 +97,7 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     distance to the plane, which keeps the refined max on the cap side).
     """
     best_val, best_pt = -math.inf, None
-    for ch, t, pts in grids:
+    for ch, t, pts, spacing in grids:
         side = pts @ e - mu
         mask = side > 0.0
         if not np.any(mask):
@@ -111,8 +107,6 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
         i = int(np.argmax(lv))
         val, pt = float(lv[i]), refl[i]
         if refine:
-            spacing = (ch.hi - ch.lo) / t.size
-
             def gain(tt, _fn=ch.fn):
                 q = np.asarray(_fn(tt), dtype=float)
                 s_ = q @ e - mu
@@ -120,9 +114,7 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
                 return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float),
                                 -np.abs(s_))
 
-            t0 = t[mask][i]
-            t_ref, v_ref = golden_max(gain, max(ch.lo, t0 - 2.0 * spacing),
-                                      min(ch.hi, t0 + 2.0 * spacing))
+            t_ref, v_ref = polish(gain, ch, t[mask][i], spacing, maximize=True)
             if float(v_ref) > val:
                 q = np.asarray(ch.fn(float(t_ref)), dtype=float)
                 val = float(v_ref)
@@ -138,11 +130,15 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
 
     The scan step is Lambda/200; the first offset whose reflected cap
     pokes outside brackets the critical value, which bisection then pins
-    to ``tol``.  The witness is the worst reflected point just below the
-    critical offset; a witness within 10 tol of the plane is tagged as the
-    orthogonal-crossing case, otherwise as interior tangency.  A clean
-    sweep all the way down (a reflection-symmetric domain in an exactly
-    symmetric direction never violates) comes back unresolved.
+    to ``tol``, or to float spacing when ``tol`` is finer.  The witness is
+    the worst reflected point just below the critical offset; a witness
+    within 10 tol of the plane is tagged as the orthogonal-crossing case,
+    otherwise as interior tangency.  A reflection-symmetric domain in its
+    symmetry direction stops at its centre plane up to tol and sampling
+    residue (lambda = -3e-7 for the unit disk at tol 1e-6), tagged like any
+    contact: the reflected cap pokes out once the plane passes the centre.
+    The result is ``unresolved`` only when no violation shows all the way
+    down to the far support, or none just below the bisected offset.
     """
     e = _unit(e)
     if not d.boundary_param:
@@ -168,6 +164,8 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
 
     while hi_mu - lo_mu > tol:
         mid = 0.5 * (lo_mu + hi_mu)
+        if not lo_mu < mid < hi_mu:  # the gap is down to float spacing
+            break
         v, _ = violation(d, grids, mid, e)
         if v > _VIOLATION_EPS:
             lo_mu = mid
@@ -189,8 +187,7 @@ def reflected_domain(d: ImplicitDomain, res: CriticalPlaneResult) -> ImplicitDom
     """The domain's mirror image across the critical plane of ``res``."""
     e = np.asarray(res.e, dtype=float)
     lam = float(res.lam)
-    n = d.dim
-    H = np.eye(n) - 2.0 * np.outer(e, e)
+    H = np.eye(d.dim) - 2.0 * np.outer(e, e)
 
     def level(pts):
         return d.level(reflect(pts, lam, e))
@@ -220,12 +217,8 @@ def reflected_domain(d: ImplicitDomain, res: CriticalPlaneResult) -> ImplicitDom
             v = np.asarray(v, dtype=float)
             return float(_sup(H @ v)) + 2.0 * lam * float(e @ v)
 
-    corners = d.bbox[np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n),
-                     np.arange(n)]
-    refl_corners = reflect(corners, lam, e)
-    bbox = np.stack([refl_corners.min(axis=0), refl_corners.max(axis=0)])
-    return ImplicitDomain(level=level, bbox=bbox, exact_sdf=exact,
-                          boundary_param=charts, regularity=d.regularity,
+    return ImplicitDomain(level=level, bbox=reflected_box(d.bbox, lam, e),
+                          exact_sdf=exact, boundary_param=charts,
                           interior_ball_radius=d.interior_ball_radius,
                           normal=normal, support_fn=support)
 

@@ -294,19 +294,3 @@ def psi_profile_derivative(s: float, eps: float, tau):
     x = 1.0 - (1.0 - tau * tau) * a * a / (1.0 + e) ** 2 - tau * tau * b * b
     return s * core * x ** (s - 1.0) / e - s * tau * 0.75 ** (s - 1.0)
 
-
-def psi_profile_check(p: FracParams, eps: float, grid: int = 256) -> float:
-    """max over a tau-grid of |d(psi_profile)/d(tau)|, divided by eps.
-
-    Central differences with step 1e-5; the grid stays strictly inside
-    (0, 1).
-    """
-    e = float(eps)
-    if not 0.0 < e <= 0.1:
-        raise ParameterDomainError(f"profile check expects eps in (0, 0.1], got {eps!r}")
-    if grid < 64:
-        raise ParameterDomainError(f"profile check needs grid >= 64, got {grid!r}")
-    tau = (np.arange(grid) + 0.5) / grid
-    h = 1e-5
-    d = (psi_profile(p.s, e, tau + h) - psi_profile(p.s, e, tau - h)) / (2.0 * h)
-    return float(np.max(np.abs(d))) / e

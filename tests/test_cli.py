@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from fracshape.cli import CliError, RunConfig, main
+from fracshape.cli import main
+from fracshape.domains import ProjectionError
 from fracshape.specfun import FracParams, gamma_ns
 
 
@@ -59,17 +60,26 @@ class TestErrors:
         assert code == 2
         assert "n-pairs" in json.loads(err)["error"]
 
+    def test_numerical_failure_exits_three(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ProjectionError("projection residual above tolerance")
+
+        monkeypatch.setattr("fracshape.cli.critical_lambda", fail)
+        code, _, err = run(capsys, "critical-plane", "--domain", "ball")
+        assert code == 3
+        payload = json.loads(err)
+        assert payload == {"error": "projection residual above tolerance",
+                           "command": "critical-plane"}
+
 
 class TestRunConfig:
 
-    def test_json_round_trip(self):
-        cfg = RunConfig("seminorm-ratio", {"s": "0.5", "eps": "1e-2"},
-                        seed=7, output_path="out")
-        assert RunConfig.from_json(cfg.to_json()) == cfg
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(CliError):
-            RunConfig.from_json('{"command": "constants", "extra": 1}')
+    def test_unknown_keys_rejected(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"command": "constants", "extra": 1}))
+        code, _, err = run(capsys, "constants", "--config", str(cfg_file))
+        assert code == 2
+        assert "extra" in json.loads(err)["error"]
 
     def test_config_file_wins_over_flags(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.json"

@@ -151,6 +151,42 @@ class TestBumpFamily:
         samples = boundary_samples(d, 1024)
         assert np.max(np.abs(d.level(samples))) < 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_chart_distance_against_polyline(self, eps):
+        # Reference: brute-force projection onto a 250k-vertex polyline of
+        # the boundary (the arc off the strip plus the graph over it); its
+        # chord error stays below 1e-9.
+        d = bump_domain(eps, 2.0)
+        psi, _ = bump_profile(eps, 2.0)
+        center = width = math.sqrt(eps)
+        theta = np.linspace(5 * math.pi / 3, 7 * math.pi / 2, 150_001)
+        tau = np.linspace(0.0, 0.5, 100_001)
+        pieces = [np.stack([np.cos(theta), np.sin(theta)], axis=-1),
+                  np.stack([tau, psi(tau)], axis=-1)]
+
+        def reference(q):
+            best = np.inf
+            for verts in pieces:
+                a, ab = verts[:-1], np.diff(verts, axis=0)
+                w = np.clip(np.sum((q - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+                best = min(best, float(np.min(np.linalg.norm(a + w[:, None] * ab - q, axis=1))))
+            return best
+
+        # Points above and below the graph, over the bump (where the graph
+        # chart and the dense support chart overlap) and beyond it, plus
+        # points off the arc; distances range over 1e-4 .. 0.3.
+        deltas = np.array([1e-4, 1e-3, 1e-2, 0.1, 0.3])
+        taus = np.concatenate([center + width * np.array([-0.9, -0.5, 0.0, 0.3, 0.6, 0.9]),
+                               [0.25, 0.45]])
+        q_graph = [(t, float(psi(t)) + sgn * dl) for t in taus for dl in deltas
+                   for sgn in (1.0, -1.0)]
+        q_arc = [(r * math.cos(th), r * math.sin(th)) for th in (0.3, 2.0, 4.0)
+                 for r in (0.7, 0.99, 0.9999, 1.0001, 1.01, 1.3)]
+        qs = np.array(q_graph + q_arc)
+        want = np.array([reference(q) for q in qs])
+        assert np.any(d.contains(qs)) and not np.all(d.contains(qs))
+        assert boundary_distance(d, qs) == pytest.approx(want, rel=0.0, abs=1e-9)
+
     def test_parameter_validation(self):
         with pytest.raises(DomainParameterError):
             bump_domain(1e-3, 1.0)

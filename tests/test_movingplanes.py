@@ -10,7 +10,7 @@ from fracshape.domains import ball, bump_domain, ellipsoid
 from fracshape.movingplanes import (TAG_TANGENCY, TAG_UNRESOLVED,
                                     critical_lambda, reflect,
                                     reflected_domain, support_value,
-                                    to_record)
+                                    to_record, violation)
 from fracshape.measures import halton_points
 from fracshape.specfun import FracParams
 
@@ -72,6 +72,23 @@ class TestCriticalPlane:
         res = critical_lambda(make(), np.array([1.0, 0.0]), tol=1e-6)
         assert abs(res.lam) <= 2e-6
         assert res.case_tag != TAG_UNRESOLVED
+
+    def test_bisection_stops_at_float_spacing(self, monkeypatch):
+        # tol far below the float spacing near lambda: the bisection must stop
+        # once the midpoint no longer splits the bracket
+        d, e = ellipsoid(P, 0.1), np.array([1.0, 1.0])
+        coarse = critical_lambda(d, e, tol=1e-8)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) < 1000, "bisection did not terminate"
+            return violation(*args, **kwargs)
+
+        monkeypatch.setattr("fracshape.movingplanes.violation", counted)
+        fine = critical_lambda(d, e, tol=1e-300)
+        assert fine.lam == pytest.approx(coarse.lam, abs=1e-8)
+        assert fine.case_tag != TAG_UNRESOLVED
 
     def test_shifted_ball_finds_its_center(self):
         res = critical_lambda(ball((0.3, -0.2), 0.8), np.array([1.0, 0.0]), tol=1e-7)
