@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Bump-family critical-plane scaling scan (exponent 1 - 1/alpha).
+"""Bump-family critical-plane scaling scan (exponent 1 - 1/alpha) on the
+default grid of `fracshape counterexample-scan`, with artifacts under
+`artifacts/`.
 
-Extra flags are passed through to the `fracshape counterexample-scan`
-subcommand and win over the defaults below.
+Extra flags are passed through to the subcommand and win over its
+defaults.
 """
 
 import sys
 
 from fracshape.cli import main
 
-DEFAULTS = ["counterexample-scan", "--alpha", "2",
-            "--eps", "1e-3,3e-4,1e-4,3e-5,1e-5", "--gamma", "0.2",
-            "--out", "artifacts"]
-
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    sys.exit(main(["counterexample-scan", "--out", "artifacts"] + sys.argv[1:]))

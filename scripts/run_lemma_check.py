@@ -2,18 +2,17 @@
 """Slab-measure sharpness table: sublinear bound stays banded, linear
 bound blows up as the bump flattens.
 
-Extra flags are passed through to the `fracshape lemma-check` subcommand
-and win over the defaults below (tight plane tolerance and a large slab
-sample keep the ratio columns accurate to ~1e-3 relative).
+Runs `fracshape lemma-check` on its default grid with a tight plane
+tolerance and a large slab sample, which keep the ratio columns accurate
+to ~1e-3 relative.  Extra flags are passed through to the subcommand and
+win over these.
 """
 
 import sys
 
 from fracshape.cli import main
 
-DEFAULTS = ["lemma-check", "--alpha", "2", "--eps", "1e-3,1e-4,1e-5",
-            "--gamma", "0.2", "--tol", "1e-9", "--n", "400000",
-            "--out", "artifacts"]
+OVERRIDES = ["lemma-check", "--tol", "1e-9", "--n", "400000", "--out", "artifacts"]
 
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    sys.exit(main(OVERRIDES + sys.argv[1:]))

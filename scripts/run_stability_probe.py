@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Stretched-ball stability probe on the standard grid.
+"""Stretched-ball stability probe on the default grid of
+`fracshape stability-probe`, with artifacts under `artifacts/`.
 
-Extra flags are passed through to the `fracshape stability-probe`
-subcommand and win over the defaults below.
+Extra flags are passed through to the subcommand and win over its
+defaults.
 """
 
 import sys
 
 from fracshape.cli import main
 
-DEFAULTS = ["stability-probe", "--s", "0.5", "--eps", "0.02,0.01,0.005",
-            "--out", "artifacts"]
-
 if __name__ == "__main__":
-    sys.exit(main(DEFAULTS + sys.argv[1:]))
+    sys.exit(main(["stability-probe", "--out", "artifacts"] + sys.argv[1:]))

@@ -18,8 +18,7 @@ from .movingplanes import (TAG_ORTHOGONAL, TAG_TANGENCY, TAG_UNRESOLVED,
                            reflected_domain, support_value, to_record)
 from .measures import (MeasureEstimate, MeasureParameterError,
                        boundary_weighted_integral, halton_points, mc_volume,
-                       one_sided_diff_measure, slab_measure, sym_diff_measure,
-                       write_estimates_csv)
+                       one_sided_diff_measure, slab_measure, sym_diff_measure)
 from .seminorm import (EllipsoidChart, OptimBudget, SeminormResult,
                        ellipsoid_chart, ellipsoid_ratio_limit,
                        ellipsoid_seminorm, ellipsoid_seminorm_ratio,

@@ -98,19 +98,24 @@ def _collect_config(args) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise CliError("config must be a JSON object")
         unknown = set(raw) - {"command", "params", "seed", "output_path"}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         if raw.get("command", args.command) != args.command:
             raise CliError(f"config command {raw.get('command')!r} does not match "
                            f"subcommand {args.command!r}")
-        extra = set(raw.get("params", {})) - set(spec)
+        raw_params = raw.get("params", {})
+        if not isinstance(raw_params, dict):
+            raise CliError("config params must be a JSON object")
+        extra = set(raw_params) - set(spec)
         if extra:
             raise CliError(f"config params not accepted by {args.command}: {sorted(extra)}")
-        for k, v in raw.get("params", {}).items():
+        for k, v in raw_params.items():
             cfg.params[k] = v if isinstance(v, str) else str(v)
         if "seed" in raw:
-            cfg.seed = int(raw["seed"])
+            cfg.seed = _as_int(raw["seed"], "seed", lo=None)
         if "output_path" in raw:
             cfg.output_path = str(raw["output_path"])
     missing = [k for k, d in spec.items() if d is None and k not in cfg.params]
@@ -317,8 +322,7 @@ def _cmd_stability_probe(cfg):
     eps = _as_float_list(cfg.params["eps"], "eps", lo=0.0, hi=0.25)
     n_pairs = _as_int(cfg.params["n-pairs"], "n-pairs", lo=1000)
     p = FracParams(2, s)
-    probe = stability_probe(p, eps, budget=OptimBudget(n_pairs=n_pairs, seed=cfg.seed),
-                            seed=cfg.seed)
+    probe = stability_probe(p, eps, budget=OptimBudget(n_pairs=n_pairs, seed=cfg.seed))
     return _emit(cfg, {"fit": _fit_record(probe.fit)},
                  rows=probe.rows, fieldnames=PROBE_FIELDS)
 

@@ -80,8 +80,6 @@ class ImplicitDomain:
 @dataclass(frozen=True)
 class ShapeMetrics:
     rho_shape: float
-    rho_i: float
-    rho_e: float
     center: np.ndarray
 
 
@@ -511,10 +509,10 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 # shape metrics
 
 
-def _refined_extremes(d: ImplicitDomain, center: np.ndarray, n: int = 4096):
+def _refined_extremes(d: ImplicitDomain, center: np.ndarray):
     """(min, max) of |x - center| over the boundary, chart-refined."""
     lo_best, hi_best = np.inf, -np.inf
-    m = max(256, n // len(d.boundary_param))
+    m = max(256, 4096 // len(d.boundary_param))
     for ch in d.boundary_param:
         t, pts, spacing = chart_nodes(ch, m)
         order = np.argsort(np.linalg.norm(pts - center, axis=-1))
@@ -529,41 +527,33 @@ def _refined_extremes(d: ImplicitDomain, center: np.ndarray, n: int = 4096):
     return lo_best, hi_best
 
 
-def radial_extremes(d: ImplicitDomain, n: int = 4096):
+def radial_extremes(d: ImplicitDomain):
     """(rho_i, rho_e): nearest and farthest boundary point from the origin."""
-    origin = np.zeros(d.dim)
-    return _refined_extremes(d, origin, n=n)
+    return _refined_extremes(d, np.zeros(d.dim))
 
 
-def shape_metrics(d: ImplicitDomain, n_boundary: int = 4096, n_starts: int = 20,
-                  seed: int = 0) -> ShapeMetrics:
-    """Ball-sandwich gap of the domain plus origin-anchored radial extremes.
+def shape_metrics(d: ImplicitDomain) -> ShapeMetrics:
+    """Ball-sandwich gap of the domain: min over centres c of the annulus
+    width (circumradius - inradius) about c.
 
-    ``rho_shape`` minimizes (circumradius - inradius) over the center by
-    multistart coordinate descent; starts are the boundary centroid plus
-    seeded perturbations.
+    One coordinate descent from the boundary centroid finds the centre.
+    On a convex, centrally symmetric domain (a ball, a stretched ball) the
+    width is convex in c and even about the symmetry centre, which is the
+    centroid, so the descent starts at the exact minimizer and stays
+    there; on other domains the result is a local minimum.
     """
     if not d.boundary_param:
         raise ProjectionError("shape metrics need a boundary parametrization")
-    samples = boundary_samples(d, n_boundary)
+    samples = boundary_samples(d)
 
     def objective(c):
         r = np.linalg.norm(samples - c, axis=-1)
         return float(r.max() - r.min())
 
-    centroid = samples.mean(axis=0)
     diam = float(np.linalg.norm(d.bbox[1] - d.bbox[0]))
-    rng = np.random.default_rng(seed)
-    starts = [centroid]
-    starts += [centroid + 0.05 * diam * rng.standard_normal(d.dim) for _ in range(n_starts)]
-    best_c, best_val = None, np.inf
-    for x0 in starts:
-        c, val = coordinate_descent(objective, x0, step0=0.05 * diam, step_min=1e-10)
-        if val < best_val:
-            best_c, best_val = c, val
-    r_in, r_out = _refined_extremes(d, best_c, n=n_boundary)
-    rho_i, rho_e = radial_extremes(d, n=n_boundary)
-    return ShapeMetrics(rho_shape=r_out - r_in, rho_i=rho_i, rho_e=rho_e, center=best_c)
+    center, _ = coordinate_descent(objective, samples.mean(axis=0), step0=0.05 * diam)
+    r_in, r_out = _refined_extremes(d, center)
+    return ShapeMetrics(rho_shape=r_out - r_in, center=center)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Three scans tie the geometry, plane-sweep, and measure estimators
 together: the stretched-ball stability probe (seminorm against ball
 deviation), the bump-family critical-plane scaling, and the slab-measure
-sharpness table.  Rows of a scan are independent; they are computed in
-grid order with per-row derived seeds, so re-running a config reproduces
-the table byte for byte.
+sharpness table.  Rows of a scan are independent and computed in grid
+order.  The probe rows all search pairs with the budget's one seed; the
+scan and lemma rows sample at the derived seeds seed + i.  Re-running a
+config reproduces the table byte for byte.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class ProbeResult:
     fit: Optional[FitResult]
 
 
-def stability_probe(p: FracParams, eps_grid, budget: Optional[OptimBudget] = None,
-                    seed: int = 0) -> ProbeResult:
+def stability_probe(p: FracParams, eps_grid,
+                    budget: Optional[OptimBudget] = None) -> ProbeResult:
     """Rows (eps, ball-deviation, boundary seminorm) over a stretch grid.
 
     The fit regresses deviation on seminorm in log-log coordinates; slope
@@ -100,10 +101,10 @@ def stability_probe(p: FracParams, eps_grid, budget: Optional[OptimBudget] = Non
     if not all(0.0 < e < 0.25 for e in eps_list):
         raise ParameterDomainError("stretch grid must lie inside (0, 1/4)")
     rows = []
-    for i, eps in enumerate(eps_list):
+    for eps in eps_list:
         dom = ellipsoid(p, eps)
-        metrics = shape_metrics(dom, seed=seed + i)
-        sem = ellipsoid_seminorm(p, eps, budget=budget or OptimBudget(seed=seed + i))
+        metrics = shape_metrics(dom)
+        sem = ellipsoid_seminorm(p, eps, budget=budget)
         rows.append({"eps": eps, "rho_shape": metrics.rho_shape,
                      "seminorm": sem.value,
                      "flag": "" if sem.converged else "seminorm-unconverged"})

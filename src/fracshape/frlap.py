@@ -14,9 +14,8 @@ Quadrature is implemented for n = 2; fields evaluate in any dimension.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -50,13 +49,6 @@ class QuadratureConfig:
     tol: float = 0.01
     inner_radius: float = 0.05
     split: float = 0.5
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadratureConfig":
-        return cls(**json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ the small deviation boxes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -252,24 +250,3 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     return MeasureEstimate(value=total, error=3.0 * math.sqrt(var_sum),
                            method="monte-carlo", n_samples=used, seed=seed,
                            flag="integrand-unbounded" if flagged else "")
-
-
-def write_estimates_csv(path, rows) -> None:
-    """One CSV row per estimate: {quantity, params, value, error, n, seed,
-    method, flag}; params is a canonical JSON string."""
-    fieldnames = ["quantity", "params", "value", "error", "n_samples", "seed",
-                  "method", "flag"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for quantity, params, est in rows:
-            writer.writerow({
-                "quantity": quantity,
-                "params": json.dumps(params, sort_keys=True),
-                "value": repr(est.value),
-                "error": repr(est.error),
-                "n_samples": est.n_samples,
-                "seed": est.seed,
-                "method": est.method,
-                "flag": est.flag,
-            })

@@ -81,9 +81,10 @@ def support_value(d: ImplicitDomain, e) -> float:
     return best
 
 
-def _chart_grids(d: ImplicitDomain, n: int, seed: int):
-    """Per-chart node grids ``(chart, t, points, spacing)``; seed shifts the phase."""
-    m = max(64, n // len(d.boundary_param))
+def _chart_grids(d: ImplicitDomain, seed: int):
+    """Per-chart node grids ``(chart, t, points, spacing)`` of 8192 nodes in
+    all; seed shifts the phase."""
+    m = max(64, 8192 // len(d.boundary_param))
     phase = (0.5 + seed * 0.6180339887498949) % 1.0
     return [(ch, *chart_nodes(ch, m, phase)) for ch in d.boundary_param]
 
@@ -125,7 +126,7 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
 
 
 def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
-                    n_samples: int = 8192, seed: int = 0) -> CriticalPlaneResult:
+                    seed: int = 0) -> CriticalPlaneResult:
     """Critical plane offset in direction ``e``: downward scan plus bisection.
 
     The scan step is Lambda/200; the first offset whose reflected cap
@@ -145,7 +146,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
         raise ProjectionError("critical plane scan needs a boundary parametrization")
     lam_top = support_value(d, e)
     lam_bot = -support_value(d, -e)
-    grids = _chart_grids(d, n_samples, seed)
+    grids = _chart_grids(d, seed)
 
     step = max(abs(lam_top), tol) / 200.0
     hi_mu = lam_top

@@ -40,18 +40,18 @@ def golden_min(fn, lo, hi, iters: int = 70):
     return arg, -neg
 
 
-def coordinate_descent(fn, x0, step0: float, step_min: float = 1e-9, max_rounds: int = 200):
+def coordinate_descent(fn, x0, step0: float):
     """Greedy per-coordinate descent with a halving step schedule.
 
-    Minimizes ``fn`` (scalar-valued, takes a 1d point).  Robust rather
-    than fast; the shape-metric objectives it serves are cheap and only
-    a few dimensions.
+    Minimizes ``fn`` (scalar-valued, takes a 1d point) until the step falls
+    to 1e-10 or after 200 rounds.  Robust rather than fast; the
+    shape-metric objective it serves is cheap and only a few dimensions.
     """
     x = np.asarray(x0, dtype=float).copy()
     best = float(fn(x))
     step = float(step0)
     rounds = 0
-    while step > step_min and rounds < max_rounds:
+    while step > 1e-10 and rounds < 200:
         improved = False
         for i in range(x.size):
             for sgn in (+1.0, -1.0):

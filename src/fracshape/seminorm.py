@@ -22,13 +22,15 @@ from .optim import golden_max
 from .specfun import FracParams, ParameterDomainError, gamma_ns
 
 
+_N_REFINE = 32  # best sampled pairs that go on to golden-section polish
+_ROUNDS = 3  # polish rounds, each one pass per pair coordinate
+
+
 @dataclass(frozen=True)
 class OptimBudget:
     """Effort knobs for the pair-sampling sup search."""
 
     n_pairs: int = 100_000
-    n_refine: int = 32
-    rounds: int = 3
     seed: int = 0
 
 
@@ -117,13 +119,13 @@ def _pair_sup(num_fn, den_fn, lo: float, hi: float, budget: OptimBudget,
 
     vals = quotient(t_a, t_b)
     order = np.argsort(vals)
-    top = order[-budget.n_refine:]
+    top = order[-_N_REFINE:]
     best_t, best_tt = t_a[top].copy(), t_b[top].copy()
     best = float(vals[order[-1]])
 
     width = span / 100.0
     improved = np.inf
-    for _ in range(budget.rounds):
+    for _ in range(_ROUNDS):
         before = best
         tt_fixed = best_tt
 

@@ -98,6 +98,21 @@ class TestRunConfig:
         assert code == 2
         assert "does not match" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("raw", [
+        [],
+        {"command": "constants", "params": 5},
+        {"seed": [1]},
+        {"seed": 1.5},
+    ])
+    def test_malformed_config_exits_two(self, capsys, tmp_path, raw):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "constants", "--config", str(cfg_file))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "command"}
+        assert payload["command"] == "constants"
+
 
 class TestCriticalPlane:
 

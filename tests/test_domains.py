@@ -68,11 +68,12 @@ class TestEllipsoid:
         assert rho_i == pytest.approx(1.0, abs=1e-9)
         assert rho_e == pytest.approx(1.15, abs=1e-9)
 
-    def test_shape_metrics_recover_stretch(self):
-        d = ellipsoid(P, 0.1)
-        m = shape_metrics(d, n_starts=4)
-        assert m.rho_shape == pytest.approx(0.1, abs=1e-6)
-        assert np.linalg.norm(m.center) < 1e-4
+    @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005, 1e-9])
+    def test_shape_metrics_recover_stretch(self, eps):
+        # the centroid start is the exact centre, so the gap is the stretch
+        m = shape_metrics(ellipsoid(P, eps))
+        assert abs(m.rho_shape - eps) <= 1e-12
+        assert np.linalg.norm(m.center) <= 1e-12
 
     def test_stretch_range(self):
         with pytest.raises(DomainParameterError):

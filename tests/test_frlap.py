@@ -79,11 +79,6 @@ class TestEvaluationGuards:
 
 class TestQuadratureConfig:
 
-    def test_json_round_trip(self):
-        acc = QuadratureConfig(inner_radial=48, inner_angular=40, outer_panels=9,
-                               tol=0.002, inner_radius=0.04, split=0.4)
-        assert QuadratureConfig.from_json(acc.to_json()) == acc
-
     def test_refinement_tightens_torsion(self):
         f = torsion_ball(FracParams(2, 0.5))
         x = np.array([0.1, 0.2])

@@ -9,8 +9,7 @@ from fracshape.domains import ball, bump_domain, ellipsoid
 from fracshape.measures import (MeasureEstimate, MeasureParameterError,
                                 boundary_weighted_integral, halton_points,
                                 mc_volume, one_sided_diff_measure,
-                                slab_measure, sym_diff_measure,
-                                write_estimates_csv)
+                                slab_measure, sym_diff_measure)
 from fracshape.movingplanes import CriticalPlaneResult, critical_lambda
 from fracshape.specfun import FracParams
 
@@ -137,20 +136,3 @@ class TestBoundaryWeightedIntegral:
         for s in (0.0, 1.0, -0.2):
             with pytest.raises(MeasureParameterError):
                 boundary_weighted_integral(d, s, 1000)
-
-
-class TestCsvOutput:
-
-    def test_bytes_are_reproducible(self, tmp_path):
-        d = ball((0.0, 0.0), 1.0)
-        rows = [("area", {"r": "1"}, mc_volume(d.contains, d.bbox, 5_000, seed=seed))
-                for seed in (0, 1)]
-        blobs = []
-        for name in ("a.csv", "b.csv"):
-            path = tmp_path / name
-            write_estimates_csv(path, rows)
-            blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
-        header = blobs[0].decode().splitlines()[0]
-        assert header.split(",") == ["quantity", "params", "value", "error",
-                                     "n_samples", "seed", "method", "flag"]
