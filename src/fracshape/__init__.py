@@ -7,18 +7,18 @@ from .specfun import (FracParams, GammaPoleError, ParameterDomainError,
 from .domains import (Chart, DiskDeviation, DomainParameterError,
                       ImplicitDomain, ProjectionError, ShapeMetrics, ball,
                       boundary_distance, boundary_samples, bump_domain,
-                      ellipsoid, erode, from_recipe, radial_extremes,
-                      shape_metrics, signed_distance, to_recipe)
+                      ellipsoid, erode, radial_extremes, shape_metrics,
+                      signed_distance)
 from .frlap import (EvaluationPointError, FrlapResult, QuadratureConfig,
                     ScalarField, UnsupportedDimensionError, barrier,
                     frlap_eval, power_field, torsion_ball, torsion_ellipsoid,
                     zero_field)
 from .movingplanes import (TAG_ORTHOGONAL, TAG_TANGENCY, TAG_UNRESOLVED,
                            CriticalPlaneResult, critical_lambda, reflect,
-                           reflected_domain, support_value, to_record)
+                           support_value, to_record)
 from .measures import (MeasureEstimate, MeasureParameterError,
                        boundary_weighted_integral, halton_points, mc_volume,
-                       one_sided_diff_measure, slab_measure, sym_diff_measure)
+                       slab_measure, sym_diff_measure)
 from .seminorm import (EllipsoidChart, OptimBudget, SeminormResult,
                        ellipsoid_chart, ellipsoid_ratio_limit,
                        ellipsoid_seminorm, ellipsoid_seminorm_ratio,

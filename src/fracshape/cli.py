@@ -159,13 +159,13 @@ def _as_float_list(text, name, **kw):
     return [_as_float(t, name, **kw) for t in items]
 
 
-def _as_direction(text, name="e") -> np.ndarray:
-    vals = _as_float_list(text, name)
+def _as_direction(text) -> np.ndarray:
+    vals = _as_float_list(text, "e")
     if len(vals) != 2:
-        raise CliError(f"{name} must have two components, got {text!r}")
+        raise CliError(f"e must have two components, got {text!r}")
     v = np.asarray(vals, dtype=float)
     if not np.linalg.norm(v) > 0.0:
-        raise CliError(f"{name} must be a nonzero direction")
+        raise CliError("e must be a nonzero direction")
     return v
 
 
@@ -292,8 +292,7 @@ def _cmd_slab_measure(cfg):
     est = slab_measure(dom, res, gamma, n, seed=cfg.seed)
     return _emit(cfg, {"plane": to_record(res),
                        "slab": {"value": est.value, "error": est.error,
-                                "method": est.method, "n_samples": est.n_samples,
-                                "flag": est.flag}})
+                                "method": est.method, "n_samples": est.n_samples}})
 
 
 def _cmd_boundary_integral(cfg):
@@ -301,8 +300,7 @@ def _cmd_boundary_integral(cfg):
     s = _as_s(cfg.params["s"])
     n = _as_int(cfg.params["n"], "n", lo=100)
     est = boundary_weighted_integral(dom, s, n, seed=cfg.seed)
-    return _emit(cfg, {"value": est.value, "error": est.error,
-                       "method": est.method, "flag": est.flag})
+    return _emit(cfg, {"value": est.value, "error": est.error, "method": est.method})
 
 
 def _cmd_counterexample_scan(cfg):

@@ -13,7 +13,7 @@ section within two node spacings of each (``polish``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,14 +47,14 @@ class Chart:
 @dataclass(frozen=True)
 class DiskDeviation:
     """Certificate that the domain agrees with the disk of ``radius``
-    (centered at the origin) outside the given boxes.
+    (centered at the origin) outside ``box``, a ``(2, n)`` array of
+    (lower, upper) corners, or everywhere when ``box`` is None.
 
     Used by the measure estimators to split off a closed-form disk part.
-    Each box is a ``(2, n)`` array of (lower, upper) corners.
     """
 
     radius: float
-    boxes: tuple
+    box: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class ImplicitDomain:
     normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support_fn: Optional[Callable[[np.ndarray], float]] = None
     disk_deviation: Optional[DiskDeviation] = None
-    recipe: Optional[dict] = None
 
     @property
     def dim(self) -> int:
@@ -81,11 +80,6 @@ class ImplicitDomain:
 class ShapeMetrics:
     rho_shape: float
     center: np.ndarray
-
-
-def _dec(x) -> str:
-    """Decimal-string form of a numeric parameter for recipes."""
-    return x if isinstance(x, str) else repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +112,7 @@ def ball(center, r) -> ImplicitDomain:
 
     dev = None
     if n == 2 and np.all(center == 0.0):
-        dev = DiskDeviation(radius=rf, boxes=())
+        dev = DiskDeviation(radius=rf)
 
     bbox = np.stack([center - rf, center + rf])
     return ImplicitDomain(
@@ -130,7 +124,6 @@ def ball(center, r) -> ImplicitDomain:
         normal=normal,
         support_fn=lambda e: float(center @ np.asarray(e, dtype=float)) + rf,
         disk_deviation=dev,
-        recipe={"kind": "ball", "params": {"center": [_dec(c) for c in center], "r": _dec(r)}},
     )
 
 
@@ -149,12 +142,12 @@ def _ellipse_axis_distance(p1, a, b):
     return np.where(inner, d_inner, np.abs(p1 - a))
 
 
-def _ellipse_distance(p1, p2, a, b, iters: int = 90):
+def _ellipse_distance(p1, p2, a, b):
     """Unsigned distance from (p1, p2) to the ellipse x^2/a^2 + y^2/b^2 = 1.
 
-    Solves the normal-foot equation for the Lagrange parameter t by damped
-    bisection (monotone, bracket guaranteed), vectorized over points.  The
-    axis p2 == 0 case has closed-form feet and is handled separately.
+    Solves the normal-foot equation for the Lagrange parameter t by 90
+    bisection steps (monotone, bracket guaranteed), vectorized over points.
+    The axis p2 == 0 case has closed-form feet and is handled separately.
     """
     p1 = np.abs(np.asarray(p1, dtype=float))
     p2 = np.abs(np.asarray(p2, dtype=float))
@@ -176,7 +169,7 @@ def _ellipse_distance(p1, p2, a, b, iters: int = 90):
             v = b * q2 / (t + b2)
             return u * u + v * v - 1.0
 
-    for _ in range(iters):
+    for _ in range(90):
         mid = 0.5 * (t_lo + t_hi)
         pos = foot_gap(mid) > 0.0
         t_lo = np.where(pos, mid, t_lo)
@@ -192,7 +185,9 @@ def _ellipse_distance(p1, p2, a, b, iters: int = 90):
     return np.where(off_axis, d_off, _ellipse_axis_distance(p1, a, b))
 
 
-def _ellipsoid_domain(n: int, eps, eps_str=None) -> ImplicitDomain:
+def ellipsoid(p, eps) -> ImplicitDomain:
+    """Unit-ball stretch by 1+eps along the first axis, for params ``p``."""
+    n = p.n
     epsf = float(eps)
     if not 0.0 <= epsf < 0.25:
         raise DomainParameterError(f"ellipsoid stretch restricted to [0, 1/4), got {eps!r}")
@@ -239,13 +234,7 @@ def _ellipsoid_domain(n: int, eps, eps_str=None) -> ImplicitDomain:
         interior_ball_radius=1.0 / a,
         normal=normal,
         support_fn=support,
-        recipe={"kind": "ellipsoid", "params": {"n": n, "eps": eps_str or _dec(eps)}},
     )
-
-
-def ellipsoid(p, eps) -> ImplicitDomain:
-    """Unit-ball stretch by 1+eps along the first axis, for params ``p``."""
-    return _ellipsoid_domain(p.n, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +363,7 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         bbox=np.array([[-margin, -margin], [margin, margin]]),
         boundary_param=charts,
         normal=normal,
-        disk_deviation=DiskDeviation(radius=1.0, boxes=(box,)),
-        recipe={"kind": "bump", "params": {"eps": _dec(eps), "alpha": _dec(alpha)}},
+        disk_deviation=DiskDeviation(radius=1.0, box=box),
     )
 
 
@@ -491,9 +479,6 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 
         charts = tuple(offset(ch) for ch in d.boundary_param)
 
-    recipe = None
-    if d.recipe is not None:
-        recipe = {"kind": "eroded", "params": {"parent": d.recipe, "rho": _dec(rho)}}
     return ImplicitDomain(
         level=level,
         bbox=d.bbox.copy(),
@@ -501,7 +486,6 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
         boundary_param=charts,
         interior_ball_radius=d.interior_ball_radius - rhof,
         normal=d.normal,
-        recipe=recipe,
     )
 
 
@@ -554,39 +538,3 @@ def shape_metrics(d: ImplicitDomain) -> ShapeMetrics:
     center, _ = coordinate_descent(objective, samples.mean(axis=0), step0=0.05 * diam)
     r_in, r_out = _refined_extremes(d, center)
     return ShapeMetrics(rho_shape=r_out - r_in, center=center)
-
-
-# ---------------------------------------------------------------------------
-# JSON recipes
-
-
-def to_recipe(d: ImplicitDomain) -> dict:
-    if d.recipe is None:
-        raise DomainParameterError("domain carries no serializable recipe")
-    return d.recipe
-
-
-def from_recipe(recipe: dict) -> ImplicitDomain:
-    kind = recipe.get("kind")
-    params = recipe.get("params", {})
-    if kind == "ball":
-        center = [float(c) for c in params["center"]]
-        dom = ball(center, float(params["r"]))
-        fixed = {"kind": "ball", "params": {"center": list(params["center"]),
-                                            "r": params["r"]}}
-        return replace(dom, recipe=fixed)
-    if kind == "ellipsoid":
-        return _ellipsoid_domain(int(params["n"]), float(params["eps"]),
-                                 eps_str=params["eps"])
-    if kind == "bump":
-        dom = bump_domain(float(params["eps"]), float(params["alpha"]))
-        fixed = {"kind": "bump",
-                 "params": {"eps": params["eps"], "alpha": params["alpha"]}}
-        return replace(dom, recipe=fixed)
-    if kind == "eroded":
-        parent = from_recipe(params["parent"])
-        dom = erode(parent, float(params["rho"]))
-        fixed = {"kind": "eroded", "params": {"parent": to_recipe(parent),
-                                              "rho": params["rho"]}}
-        return replace(dom, recipe=fixed)
-    raise DomainParameterError(f"unknown domain recipe kind {kind!r}")

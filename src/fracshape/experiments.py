@@ -15,12 +15,11 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import (ImplicitDomain, bump_domain, ellipsoid, radial_extremes,
-                      shape_metrics)
+from .domains import bump_domain, ellipsoid, radial_extremes, shape_metrics
 from .measures import slab_measure
 from .movingplanes import TAG_UNRESOLVED, critical_lambda
 from .seminorm import OptimBudget, ellipsoid_seminorm
@@ -130,14 +129,12 @@ class ScanResult:
     slab_fit: Optional[FitResult]
 
 
-def _row_flags(res, est, tol: float):
+def _row_flags(res, tol: float):
     flags = []
     if res.case_tag == TAG_UNRESOLVED:
         flags.append("unresolved")
     if abs(res.lam) < 100.0 * tol:
         flags.append("lambda-below-resolution")
-    if est is not None and est.flag:
-        flags.append(est.flag)
     return "+".join(flags)
 
 
@@ -165,7 +162,7 @@ def counterexample_scan(alpha: float, eps_grid, gamma: float, tol: float = 1e-8,
         est = slab_measure(dom, res, gammaf, n_slab, seed=seed + i)
         rows.append({"eps": eps, "lam": res.lam, "slab": est.value,
                      "slab_err": est.error, "case": res.case_tag,
-                     "flag": _row_flags(res, est, tol)})
+                     "flag": _row_flags(res, tol)})
     clean = [r for r in rows
              if not r["flag"] and r["lam"] > 0.0 and r["slab"] > 0.0]
     lambda_fit = slab_fit = None
@@ -188,9 +185,7 @@ class LemmaResult:
 
 
 def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
-                          n_slab: int = 200_000, seed: int = 0,
-                          family: Callable[[float, float], ImplicitDomain] = None,
-                          ) -> LemmaResult:
+                          n_slab: int = 200_000, seed: int = 0) -> LemmaResult:
     """Slab measure against three candidate denominators on the bump family.
 
     ``gap`` is the annulus width rho_e - rho_i about the construction's
@@ -200,9 +195,6 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
     gamma * (gap + gamma*|lam|); ``ratio_linear`` divides by gamma * gap
     and is the one that blows up as eps -> 0.  A degenerate row (gap at
     rounding level) is flagged ``skip`` with NaN ratios.
-
-    ``family`` swaps the domain constructor, mainly so degenerate inputs
-    can be exercised; it defaults to the bump family.
     """
     alphaf = float(alpha)
     if not alphaf > 1.0:
@@ -213,10 +205,9 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:
         raise ParameterDomainError("empty bump-height grid")
-    make = family or (lambda eps, a: bump_domain(eps, a))
     rows = []
     for i, eps in enumerate(eps_list):
-        dom = make(eps, alphaf)
+        dom = bump_domain(eps, alphaf)
         res = critical_lambda(dom, _SWEEP, tol=tol, seed=seed + i)
         rho_i, rho_e = radial_extremes(dom)
         gap = rho_e - rho_i
@@ -232,6 +223,6 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
                     ratio_thm52=est.value / (g * gap ** (1.0 - 1.0 / alphaf)),
                     ratio_lem53=est.value / (g * (gap + g * abs(res.lam))),
                     ratio_linear=est.value / (g * gap),
-                    flag=_row_flags(res, est, tol))
+                    flag=_row_flags(res, tol))
             rows.append(row)
     return LemmaResult(rows=tuple(rows))

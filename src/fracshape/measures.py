@@ -3,11 +3,11 @@ and the boundary-weighted singular integral.
 
 Sampling is scrambled-Halton, seed-indexed, so every estimate is
 bit-reproducible.  Error bars are 3 sigma with the variance taken from an
-auxiliary pseudorandom draw (the low-discrepancy points themselves are
-not independent, so their spread would understate nothing useful).
-Whenever a domain certifies where it deviates from a centered disk, the
-slab estimator splits off the disk part in closed form and only samples
-the small deviation boxes.
+auxiliary pseudorandom draw: the low-discrepancy points are not
+independent, so their own spread is no variance estimate.  Whenever a
+domain certifies where it deviates from a centered disk, the slab
+estimator splits off the disk part in closed form and only samples the
+small deviation box.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ class MeasureEstimate:
     error: float
     method: str
     n_samples: int
-    seed: int
-    flag: str = ""
 
 
 def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
@@ -72,7 +70,7 @@ def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
     vol = _box_volume(box)
     mean, bar = _mean_3sigma(lambda p: np.asarray(pred(p), dtype=float), box, n, seed)
     return MeasureEstimate(value=vol * mean, error=vol * bar, method="monte-carlo",
-                           n_samples=n, seed=seed)
+                           n_samples=n)
 
 
 def _hull_box(*boxes) -> np.ndarray:
@@ -90,22 +88,6 @@ def sym_diff_measure(d: ImplicitDomain, res: CriticalPlaneResult, n: int,
 
     def pred(pts):
         return d.contains(pts) ^ d.contains(reflect(pts, lam, e))
-
-    est = mc_volume(pred, box, n, seed)
-    return est
-
-
-def one_sided_diff_measure(d: ImplicitDomain, res: CriticalPlaneResult, n: int,
-                           seed: int = 0) -> MeasureEstimate:
-    """Measure of the part of the domain beyond the plane's far side that
-    the reflected domain misses: (domain intersect {x.e < lambda}) minus
-    its own reflection."""
-    e, lam = np.asarray(res.e, dtype=float), float(res.lam)
-    box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
-
-    def pred(pts):
-        side = np.sum(pts * e, axis=-1) - lam
-        return d.contains(pts) & (side < 0.0) & ~d.contains(reflect(pts, lam, e))
 
     return mc_volume(pred, box, n, seed)
 
@@ -134,9 +116,9 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
     """Measure of the symmetric difference restricted to the band of
     half-width ``gamma`` around the critical plane.
 
-    When the domain certifies its deviation-from-disk boxes, the disk
-    part of the band measure is closed-form and sampling covers only the
-    (tiny) deviation region; otherwise plain band-restricted QMC.
+    When the domain certifies its deviation-from-disk box, the disk part
+    of the band measure is closed-form and sampling covers only the (tiny)
+    deviation region; otherwise plain band-restricted QMC.
     """
     if not 0.0 < gamma <= 0.25:
         raise MeasureParameterError(f"band half-width restricted to (0, 1/4], got {gamma!r}")
@@ -149,18 +131,17 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         return d.contains(pts) ^ d.contains(reflect(pts, lam, e))
 
     dev = d.disk_deviation
-    if dev is not None and d.dim == 2 and len(dev.boxes) <= 1:
+    if dev is not None and d.dim == 2:
         base = _disk_slab_closed_form(gamma, lam, dev.radius)
         # The plane offset itself is only known to res.tol; propagate that
         # through the closed-form part.
         err_geom = (_disk_slab_closed_form(gamma, abs(lam) + res.tol, dev.radius)
                     - _disk_slab_closed_form(gamma, max(abs(lam) - res.tol, 0.0),
                                              dev.radius))
-        if not dev.boxes:
+        if dev.box is None:
             return MeasureEstimate(value=base, error=err_geom, method="closed-form",
-                                   n_samples=0, seed=seed)
-        box = np.asarray(dev.boxes[0], dtype=float)
-        region = _hull_box(box, reflected_box(box, lam, e))
+                                   n_samples=0)
+        region = _hull_box(dev.box, reflected_box(dev.box, lam, e))
         disk = np.zeros(2)
 
         def correction(pts):
@@ -173,7 +154,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         mean, bar = _mean_3sigma(correction, region, n, seed)
         area = _box_volume(region)
         return MeasureEstimate(value=base + area * mean, error=area * bar + err_geom,
-                               method="monte-carlo", n_samples=n, seed=seed)
+                               method="monte-carlo", n_samples=n)
 
     box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
     axis = int(np.argmax(np.abs(e)))
@@ -184,7 +165,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         box[1, axis] = min(box[1, axis], lam * e[axis] + gamma)
         if box[0, axis] >= box[1, axis]:
             return MeasureEstimate(value=0.0, error=0.0, method="closed-form",
-                                   n_samples=0, seed=seed)
+                                   n_samples=0)
     return mc_volume(lambda p: in_band(p) & sym_diff(p), box, n, seed)
 
 
@@ -193,10 +174,10 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     """Integral of y1 (dist to domain boundary / dist to unit circle)^s over
     the right-half region inside the domain but outside the unit disk.
 
-    Stratified in 13 geometric shells hugging the circle; the innermost
-    shell uses a t^(-s) importance map in the radial gap so the weighted
-    integrand stays bounded.  Ratios above 1e6 raise the unbounded flag
-    (expected near the circle: the gap vanishes, the numerator does not).
+    Stratified in 13 geometric shells hugging the circle.  The ratio grows
+    without bound at the circle (the gap vanishes, the numerator does not),
+    so the innermost shell uses a t^(-s) importance map in the radial gap
+    to keep the weighted integrand bounded.
     """
     if d.dim != 2:
         raise MeasureParameterError("boundary-weighted integral implemented in 2D")
@@ -206,23 +187,19 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     h = rho_e - 1.0
     if h <= 1e-12:
         return MeasureEstimate(value=0.0, error=0.0, method="closed-form",
-                               n_samples=0, seed=seed)
+                               n_samples=0)
     h *= 1.0 + 1e-9
 
     n_shells = 13
     per = max(16, n // n_shells)
     total, var_sum, used = 0.0, 0.0, 0
-    flagged = False
     rng = np.random.default_rng(seed + _AUX_SEED_OFFSET)
 
     def weighted(t, theta):
-        nonlocal flagged
         r = 1.0 + t
         pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
         delta_dom = np.asarray(boundary_distance(d, pts), dtype=float)
         ratio = delta_dom / np.maximum(t, 1e-300)
-        if np.any(ratio > 1e6):
-            flagged = True
         inside = d.contains(pts)
         return np.where(inside, pts[..., 0] * ratio ** s, 0.0) * r
 
@@ -248,5 +225,4 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
         var_sum += float(np.var(shell_vals(uv))) / per
         used += per
     return MeasureEstimate(value=total, error=3.0 * math.sqrt(var_sum),
-                           method="monte-carlo", n_samples=used, seed=seed,
-                           flag="integrand-unbounded" if flagged else "")
+                           method="monte-carlo", n_samples=used)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import Chart, ImplicitDomain, ProjectionError, chart_nodes, polish
+from .domains import ImplicitDomain, ProjectionError, chart_nodes, polish
 
 TAG_TANGENCY = "internal-tangency"
 TAG_ORTHOGONAL = "boundary-orthogonality"
@@ -182,46 +182,6 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
             else TAG_TANGENCY)
     return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam, case_tag=case,
                                witness=witness, tol=tol)
-
-
-def reflected_domain(d: ImplicitDomain, res: CriticalPlaneResult) -> ImplicitDomain:
-    """The domain's mirror image across the critical plane of ``res``."""
-    e = np.asarray(res.e, dtype=float)
-    lam = float(res.lam)
-    H = np.eye(d.dim) - 2.0 * np.outer(e, e)
-
-    def level(pts):
-        return d.level(reflect(pts, lam, e))
-
-    exact = None
-    if d.exact_sdf is not None:
-        def exact(pts, _sdf=d.exact_sdf):
-            return _sdf(reflect(pts, lam, e))
-
-    charts = None
-    if d.boundary_param:
-        def flip(ch):
-            def fn(t, _fn=ch.fn):
-                return reflect(np.asarray(_fn(t), dtype=float), lam, e)
-            return Chart(fn, ch.lo, ch.hi, ch.dense)
-
-        charts = tuple(flip(ch) for ch in d.boundary_param)
-
-    normal = None
-    if d.normal is not None:
-        def normal(pts, _nrm=d.normal):
-            return np.asarray(_nrm(reflect(pts, lam, e)), dtype=float) @ H
-
-    support = None
-    if d.support_fn is not None:
-        def support(v, _sup=d.support_fn):
-            v = np.asarray(v, dtype=float)
-            return float(_sup(H @ v)) + 2.0 * lam * float(e @ v)
-
-    return ImplicitDomain(level=level, bbox=reflected_box(d.bbox, lam, e),
-                          exact_sdf=exact, boundary_param=charts,
-                          interior_ball_radius=d.interior_ball_radius,
-                          normal=normal, support_fn=support)
 
 
 def to_record(res: CriticalPlaneResult) -> dict:

@@ -8,8 +8,9 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
-def golden_max(fn, lo, hi, iters: int = 70):
-    """Golden-section maximization, vectorized over independent brackets.
+def golden_max(fn, lo, hi):
+    """Golden-section maximization (70 steps), vectorized over independent
+    brackets.
 
     ``fn`` must map a float array of bracket points to an equally shaped
     array of values.  Returns ``(argmax, max)`` arrays (scalars collapse).
@@ -21,7 +22,7 @@ def golden_max(fn, lo, hi, iters: int = 70):
     scalar = lo.ndim == 0
     lo = np.atleast_1d(lo)
     hi = np.atleast_1d(hi)
-    for _ in range(iters):
+    for _ in range(70):
         c = lo + _INVPHI2 * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         keep_left = np.asarray(fn(c)) >= np.asarray(fn(d))
@@ -34,9 +35,9 @@ def golden_max(fn, lo, hi, iters: int = 70):
     return mid, val
 
 
-def golden_min(fn, lo, hi, iters: int = 70):
+def golden_min(fn, lo, hi):
     """Golden-section minimization; see :func:`golden_max`."""
-    arg, neg = golden_max(lambda t: -np.asarray(fn(t)), lo, hi, iters=iters)
+    arg, neg = golden_max(lambda t: -np.asarray(fn(t)), lo, hi)
     return arg, -neg
 
 

@@ -74,16 +74,12 @@ def normalization_constant(n: int, s: float) -> float:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Dimension, fractional order, and the operator constant.
-
-    ``c_ns`` is derived from ``(n, s)`` when left at its default; passing
-    an explicit value is only useful for experiments with rescaled
-    operators.
-    """
+    """Dimension, fractional order, and the operator constant ``c_ns``,
+    derived from ``(n, s)``."""
 
     n: int
     s: float
-    c_ns: float = field(default=0.0)
+    c_ns: float = field(init=False)
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
@@ -91,8 +87,7 @@ class FracParams:
         object.__setattr__(self, "n", int(self.n))
         if not 0.0 < self.s < 1.0:
             raise ParameterDomainError(f"fractional order must satisfy 0 < s < 1, got {self.s!r}")
-        if self.c_ns == 0.0:
-            object.__setattr__(self, "c_ns", normalization_constant(self.n, self.s))
+        object.__setattr__(self, "c_ns", normalization_constant(self.n, self.s))
         if not (self.c_ns > 0.0 and math.isfinite(self.c_ns)):
             raise ParameterDomainError(f"operator constant must be positive finite, got {self.c_ns!r}")
 

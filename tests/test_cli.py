@@ -129,6 +129,17 @@ class TestCriticalPlane:
         assert summary["params"]["tol"] == "1e-5"
 
 
+class TestResultShapes:
+
+    def test_measure_results_carry_exactly_these_keys(self, capsys):
+        slab = run_json(capsys, "slab-measure", "--domain", "ball")["results"]
+        assert set(slab) == {"plane", "slab"}
+        assert set(slab["slab"]) == {"value", "error", "method", "n_samples"}
+        integral = run_json(capsys, "boundary-integral", "--domain", "ball:1.05",
+                            "--n", "1000")["results"]
+        assert set(integral) == {"value", "error", "method"}
+
+
 class TestArtifacts:
 
     ARGS = ("stability-probe", "--eps", "0.02,0.01", "--n-pairs", "2000")

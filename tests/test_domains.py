@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,9 +7,8 @@ from hypothesis import strategies as st
 
 from fracshape.domains import (DomainParameterError, ball, boundary_distance,
                                boundary_samples, bump_domain, bump_profile,
-                               ellipsoid, erode, from_recipe, odd_cutoff,
-                               radial_extremes, shape_metrics, signed_distance,
-                               to_recipe)
+                               ellipsoid, erode, odd_cutoff, radial_extremes,
+                               shape_metrics, signed_distance)
 from fracshape.measures import halton_points
 from fracshape.specfun import FracParams
 
@@ -197,7 +195,7 @@ class TestBumpFamily:
     def test_deviation_box_brackets_the_bump(self):
         eps, alpha = 1e-3, 2.0
         d = bump_domain(eps, alpha)
-        (box,) = d.disk_deviation.boxes
+        box = d.disk_deviation.box
         center = eps ** (1 - 1 / alpha)
         assert box[0, 0] <= center <= box[1, 0]
         # every boundary point that leaves the unit circle lies in the box
@@ -205,23 +203,3 @@ class TestBumpFamily:
         off_circle = np.abs(np.linalg.norm(samples, axis=-1) - 1.0) > 1e-9
         dev = samples[off_circle]
         assert np.all((dev >= box[0] - 1e-12) & (dev <= box[1] + 1e-12))
-
-
-class TestRecipes:
-
-    @pytest.mark.parametrize("make", [
-        lambda: ball((0.25, -0.5), 1.5),
-        lambda: ellipsoid(P, 0.125),
-        lambda: bump_domain(1e-3, 2.0),
-        lambda: erode(ellipsoid(P, 0.1), 0.5),
-    ])
-    def test_round_trip_preserves_geometry(self, make):
-        d = make()
-        clone = from_recipe(json.loads(json.dumps(to_recipe(d))))
-        pts = 2.0 * (2.0 * halton_points(2000, 2, seed=4) - 1.0)
-        assert np.array_equal(d.contains(pts), clone.contains(pts))
-        assert signed_distance(d, pts) == pytest.approx(signed_distance(clone, pts))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises((DomainParameterError, KeyError, ValueError)):
-            from_recipe({"kind": "torus", "params": {}})

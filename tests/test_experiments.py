@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fracshape.domains import ball
 from fracshape.experiments import (LEMMA_FIELDS, PROBE_FIELDS, SCAN_FIELDS,
                                    config_hash, counterexample_scan,
                                    exponent_fit, geometric_lemma_check,
@@ -122,12 +121,13 @@ class TestLemmaCheck:
         assert 2.0 < growth < 5.0
 
     def test_degenerate_gap_rows_are_skipped(self):
-        res = geometric_lemma_check(2.0, [1e-3], [0.2], tol=1e-6,
-                                    n_slab=10_000,
-                                    family=lambda eps, alpha: ball(np.zeros(2), 1.0))
+        # a bump of height 1e-13 leaves an annulus gap at rounding level
+        res = geometric_lemma_check(2.0, [1e-13], [0.2], tol=1e-6, n_slab=10_000)
         row = res.rows[0]
+        assert row["gap"] <= 1e-12
         assert row["flag"] == "skip"
-        assert math.isnan(row["ratio_thm52"])
+        assert all(math.isnan(row[k])
+                   for k in ("ratio_thm52", "ratio_lem53", "ratio_linear"))
 
 
 class TestArtifacts:

@@ -8,8 +8,7 @@ from scipy.special import roots_jacobi
 from fracshape.domains import ball, bump_domain, ellipsoid
 from fracshape.measures import (MeasureEstimate, MeasureParameterError,
                                 boundary_weighted_integral, halton_points,
-                                mc_volume, one_sided_diff_measure,
-                                slab_measure, sym_diff_measure)
+                                mc_volume, slab_measure, sym_diff_measure)
 from fracshape.movingplanes import CriticalPlaneResult, critical_lambda
 from fracshape.specfun import FracParams
 
@@ -56,14 +55,6 @@ class TestSymmetricDifference:
         est = sym_diff_measure(d, plane_at(t), 400_000, seed=1)
         assert est.value == pytest.approx(want, abs=3.0 * est.error)
         assert est.error < 0.05
-
-    def test_one_sided_is_half_for_symmetric_domain(self):
-        d = ball((0.0, 0.0), 1.0)
-        res = plane_at(0.15)
-        both = sym_diff_measure(d, res, 200_000, seed=2)
-        one = one_sided_diff_measure(d, res, 200_000, seed=2)
-        assert 2.0 * one.value == pytest.approx(both.value,
-                                                abs=3.0 * (2 * one.error + both.error))
 
     def test_reflection_at_zero_vanishes(self):
         d = ellipsoid(P, 0.1)
@@ -119,12 +110,11 @@ class TestBoundaryWeightedIntegral:
         d = ball((0.0, 0.0), 1.0 + h)
         est = boundary_weighted_integral(d, s, 300_000, seed=2)
         assert est.value == pytest.approx(want, rel=0.02)
-        assert est.flag == "integrand-unbounded"  # expected: gap vanishes at the circle
 
     def test_unit_disk_is_exactly_zero(self):
         est = boundary_weighted_integral(ball((0.0, 0.0), 1.0), 0.5, 1000)
         assert est == MeasureEstimate(value=0.0, error=0.0, method="closed-form",
-                                      n_samples=0, seed=0)
+                                      n_samples=0)
 
     def test_grows_with_protrusion(self):
         lo = boundary_weighted_integral(ball((0.0, 0.0), 1.04), 0.5, 50_000, seed=1)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from fracshape.domains import ball, bump_domain, ellipsoid
 from fracshape.movingplanes import (TAG_TANGENCY, TAG_UNRESOLVED,
-                                    critical_lambda, reflect,
-                                    reflected_domain, support_value,
+                                    critical_lambda, reflect, support_value,
                                     to_record, violation)
-from fracshape.measures import halton_points
 from fracshape.specfun import FracParams
 
 P = FracParams(2, 0.5)
@@ -134,24 +132,3 @@ class TestCriticalPlane:
         rec = json.loads(json.dumps(to_record(res)))
         assert set(rec) == {"e", "Lambda", "lambda", "case", "witness", "tol"}
         assert rec["Lambda"] == pytest.approx(1.0, abs=1e-9)
-
-
-class TestReflectedDomain:
-
-    def test_membership_mirrors_the_original(self):
-        d = bump_domain(1e-2, 2.0)
-        e = np.array([1.0, 0.0])
-        res = critical_lambda(d, e, tol=1e-6)
-        refl = reflected_domain(d, res)
-        pts = 1.5 * (2.0 * halton_points(5000, 2, seed=3) - 1.0)
-        mirrored = reflect(pts, res.lam, np.asarray(res.e))
-        assert np.array_equal(refl.contains(pts), d.contains(mirrored))
-
-    def test_support_function_reflects(self):
-        d = ellipsoid(P, 0.2)
-        e = np.array([1.0, 0.0])
-        res = critical_lambda(d, e, tol=1e-6)
-        refl = reflected_domain(d, res)
-        # support in +e of the reflection = 2 lambda + support of d in -e
-        want = 2.0 * res.lam + support_value(d, -e)
-        assert refl.support_fn(e) == pytest.approx(want, abs=1e-6)
