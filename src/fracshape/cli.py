@@ -174,22 +174,23 @@ def _as_s(text) -> float:
 
 
 def _parse_domain(text: str):
+    """``(kind, parameters, domain)`` of a ``--domain`` string."""
     parts = str(text).split(":")
     kind = parts[0]
     if kind == "ball":
         r = _as_float(parts[1], "ball radius", lo=0.0) if len(parts) > 1 else 1.0
-        return ball(np.zeros(2), r)
+        return kind, (r,), ball(np.zeros(2), r)
     if kind == "ellipsoid":
         if len(parts) != 2:
             raise CliError("ellipsoid domain is spelled ellipsoid:EPS")
         eps = _as_float(parts[1], "ellipsoid stretch", lo=0.0, hi=0.25)
-        return ellipsoid(FracParams(2, 0.5), eps)
+        return kind, (eps,), ellipsoid(FracParams(2, 0.5), eps)
     if kind == "bump":
         if len(parts) not in (2, 3):
             raise CliError("bump domain is spelled bump:EPS or bump:EPS:ALPHA")
         eps = _as_float(parts[1], "bump height", lo=0.0, hi=0.05, hi_open=False)
         alpha = _as_float(parts[2], "bump aspect", lo=1.0) if len(parts) > 2 else 2.0
-        return bump_domain(eps, alpha)
+        return kind, (eps, alpha), bump_domain(eps, alpha)
     raise CliError(f"unknown domain {text!r} (ball[:R], ellipsoid:EPS, bump:EPS[:ALPHA])")
 
 
@@ -231,16 +232,14 @@ def _cmd_torsion_check(cfg):
     s = _as_s(cfg.params["s"])
     k = _as_int(cfg.params["points"], "points")
     min_dist = _as_float(cfg.params["min-dist"], "min-dist", lo=0.0)
-    domain_str = str(cfg.params["domain"])
     p = FracParams(2, s)
-    dom = _parse_domain(domain_str)
-    parts = domain_str.split(":")
-    if parts[0] == "ball":
-        if len(parts) > 1 and float(parts[1]) != 1.0:
+    kind, args, dom = _parse_domain(cfg.params["domain"])
+    if kind == "ball":
+        if args[0] != 1.0:
             raise CliError("torsion profile is defined on the unit ball")
         f = torsion_ball(p)
-    elif parts[0] == "ellipsoid":
-        f = torsion_ellipsoid(p, float(parts[1]))
+    elif kind == "ellipsoid":
+        f = torsion_ellipsoid(p, args[0])
     else:
         raise CliError("torsion-check supports ball and ellipsoid:EPS domains")
     lo, hi = dom.bbox
@@ -275,7 +274,7 @@ def _cmd_seminorm_ratio(cfg):
 
 
 def _cmd_critical_plane(cfg):
-    dom = _parse_domain(cfg.params["domain"])
+    _, _, dom = _parse_domain(cfg.params["domain"])
     e = _as_direction(cfg.params["e"])
     tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
     res = critical_lambda(dom, e, tol=tol, seed=cfg.seed)
@@ -283,7 +282,7 @@ def _cmd_critical_plane(cfg):
 
 
 def _cmd_slab_measure(cfg):
-    dom = _parse_domain(cfg.params["domain"])
+    _, _, dom = _parse_domain(cfg.params["domain"])
     e = _as_direction(cfg.params["e"])
     gamma = _as_float(cfg.params["gamma"], "gamma", lo=0.0, hi=0.25, hi_open=False)
     tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
@@ -296,7 +295,7 @@ def _cmd_slab_measure(cfg):
 
 
 def _cmd_boundary_integral(cfg):
-    dom = _parse_domain(cfg.params["domain"])
+    _, _, dom = _parse_domain(cfg.params["domain"])
     s = _as_s(cfg.params["s"])
     n = _as_int(cfg.params["n"], "n", lo=100)
     est = boundary_weighted_integral(dom, s, n, seed=cfg.seed)

@@ -382,11 +382,13 @@ def chart_nodes(ch: Chart, m: int, phase: float = 0.5):
     return t, np.asarray(ch.fn(t), dtype=float), (ch.hi - ch.lo) / m
 
 
-def polish(fn, ch: Chart, t0, spacing: float, maximize: bool):
+def polish(fn, lo, hi, t0, spacing, maximize: bool):
     """Golden-section extremum of ``fn`` within two node spacings of ``t0``,
-    clipped to the chart; vectorized over ``t0``.  Returns ``(t, value)``."""
-    lo = np.maximum(ch.lo, t0 - 2.0 * spacing)
-    hi = np.minimum(ch.hi, t0 + 2.0 * spacing)
+    clipped to the chart range ``[lo, hi]``; vectorized over ``t0`` and, for
+    brackets on several charts, over ``lo``, ``hi`` and ``spacing``.
+    Returns ``(t, value)``."""
+    lo = np.maximum(lo, t0 - 2.0 * spacing)
+    hi = np.minimum(hi, t0 + 2.0 * spacing)
     return (golden_max if maximize else golden_min)(fn, lo, hi)
 
 
@@ -416,7 +418,7 @@ def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
         def gap(tt, _fn=ch.fn):
             return np.linalg.norm(np.asarray(_fn(tt), dtype=float) - flat, axis=-1)
 
-        _, dist = polish(gap, ch, t[idx], spacing, maximize=False)
+        _, dist = polish(gap, ch.lo, ch.hi, t[idx], spacing, maximize=False)
         best = np.minimum(best, dist)
     return best.reshape(pts.shape[:-1])
 
@@ -504,8 +506,8 @@ def _refined_extremes(d: ImplicitDomain, center: np.ndarray):
         def gap(tt, _fn=ch.fn):
             return np.linalg.norm(np.asarray(_fn(tt), dtype=float) - center, axis=-1)
 
-        _, v_lo = polish(gap, ch, t[order[:4]], spacing, maximize=False)
-        _, v_hi = polish(gap, ch, t[order[-4:]], spacing, maximize=True)
+        _, v_lo = polish(gap, ch.lo, ch.hi, t[order[:4]], spacing, maximize=False)
+        _, v_hi = polish(gap, ch.lo, ch.hi, t[order[-4:]], spacing, maximize=True)
         lo_best = min(lo_best, float(np.min(v_lo)))
         hi_best = max(hi_best, float(np.max(v_hi)))
     return lo_best, hi_best

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .domains import ImplicitDomain, boundary_distance, radial_extremes
 from .movingplanes import CriticalPlaneResult, reflect, reflected_box
@@ -41,6 +40,11 @@ def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
 
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
+    # imported here, not at the top: scipy.stats is over half the time of
+    # ``import fracshape``, and commands such as ``constants`` and
+    # ``critical-plane`` never draw a point
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
     return sampler.random(n)
 

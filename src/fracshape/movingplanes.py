@@ -76,7 +76,8 @@ def support_value(d: ImplicitDomain, e) -> float:
         def height(tt, _fn=ch.fn):
             return np.asarray(_fn(tt), dtype=float) @ e
 
-        _, v = polish(height, ch, t[np.argsort(pts @ e)[-4:]], spacing, maximize=True)
+        _, v = polish(height, ch.lo, ch.hi, t[np.argsort(pts @ e)[-4:]], spacing,
+                      maximize=True)
         best = max(best, float(np.max(v)))
     return best
 
@@ -93,11 +94,15 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     """Worst exterior excess of the reflected cap boundary at offset ``mu``.
 
     Returns ``(excess, reflected_point)``; excess <= 0 means the reflected
-    cap stayed inside on every sample.  Refinement polishes the argmax in
-    the chart parameter (points pushed off the cap are penalized by their
-    distance to the plane, which keeps the refined max on the cap side).
+    cap stayed inside on every sample.  ``refine=False`` is the cheap scan
+    pass: the worst node of each chart grid, nothing more.  Refinement
+    polishes each chart's worst node in the chart parameter, all charts in
+    one golden-section call, and keeps the better of node and polish, so
+    it never lowers the excess (points pushed off the cap are penalized by
+    their distance to the plane, which keeps the refined max on the cap
+    side).
     """
-    best_val, best_pt = -math.inf, None
+    found = []
     for ch, t, pts, spacing in grids:
         side = pts @ e - mu
         mask = side > 0.0
@@ -106,34 +111,51 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
         refl = pts[mask] - 2.0 * side[mask, None] * e
         lv = np.atleast_1d(np.asarray(d.level(refl), dtype=float))
         i = int(np.argmax(lv))
-        val, pt = float(lv[i]), refl[i]
-        if refine:
-            def gain(tt, _fn=ch.fn):
-                q = np.asarray(_fn(tt), dtype=float)
-                s_ = q @ e - mu
-                r = q - 2.0 * np.asarray(s_)[..., None] * e
-                return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float),
-                                -np.abs(s_))
+        found.append((ch, t[mask][i], spacing, float(lv[i]), refl[i]))
+    if not found:
+        return -math.inf, None
+    charts, t0, spacing, vals, pts = zip(*found)
+    vals, pts = list(vals), list(pts)
+    if refine:
+        def gain(tt):
+            # q.e chart by chart: a many-row product can round an oblique e
+            # differently from the one-row product of a lone bracket
+            q = [np.asarray(ch.fn(tt[k:k + 1]), dtype=float) for k, ch in enumerate(charts)]
+            s_ = np.concatenate([qk @ e for qk in q]) - mu
+            r = np.concatenate(q) - 2.0 * s_[:, None] * e
+            return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float), -np.abs(s_))
 
-            t_ref, v_ref = polish(gain, ch, t[mask][i], spacing, maximize=True)
-            if float(v_ref) > val:
-                q = np.asarray(ch.fn(float(t_ref)), dtype=float)
-                val = float(v_ref)
-                pt = q - 2.0 * (float(q @ e) - mu) * e
-        if val > best_val:
-            best_val, best_pt = val, np.asarray(pt, dtype=float)
-    return best_val, best_pt
+        t_ref, v_ref = polish(gain, np.array([ch.lo for ch in charts]),
+                              np.array([ch.hi for ch in charts]), np.array(t0),
+                              np.array(spacing), maximize=True)
+        for k, ch in enumerate(charts):
+            if float(v_ref[k]) > vals[k]:
+                q = np.asarray(ch.fn(float(t_ref[k])), dtype=float)
+                vals[k] = float(v_ref[k])
+                pts[k] = q - 2.0 * (float(q @ e) - mu) * e
+    k = int(np.argmax(vals))
+    return vals[k], np.asarray(pts[k], dtype=float)
 
 
 def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
                     seed: int = 0) -> CriticalPlaneResult:
-    """Critical plane offset in direction ``e``: downward scan plus bisection.
+    """Critical plane offset in direction ``e``: coarse-to-fine downward scan
+    plus bisection.
 
-    The scan step is Lambda/200; the first offset whose reflected cap
-    pokes outside brackets the critical value, which bisection then pins
-    to ``tol``, or to float spacing when ``tol`` is finer.  The witness is
-    the worst reflected point just below the critical offset; a witness
-    within 10 tol of the plane is tagged as the orthogonal-crossing case,
+    The scan steps down from Lambda by Lambda/200.  It runs the cheap
+    unrefined ``violation`` pass at every offset and refines only where the
+    verdict is decided: from the first offset whose raw excess is positive
+    it steps back up with refined calls while the offset above is still
+    violated.  This rests on the refined excess never falling below the raw
+    one (refinement keeps the better of the node and its polish), so the
+    first refined violation sits at or above the first raw one; it is
+    missed only if a refined-clean offset separates them.  When the raw
+    pass finds no violation at all, a refined scan over the same offsets
+    decides.  The topmost violated offset and the one above it (or Lambda)
+    bracket the critical value, which refined bisection then pins to
+    ``tol``, or to float spacing when ``tol`` is finer.  The witness is the
+    worst reflected point just below the critical offset; a witness within
+    10 tol of the plane is tagged as the orthogonal-crossing case,
     otherwise as interior tangency.  A reflection-symmetric domain in its
     symmetry direction stops at its centre plane up to tol and sampling
     residue (lambda = -3e-7 for the unit disk at tol 1e-6), tagged like any
@@ -149,26 +171,32 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     grids = _chart_grids(d, seed)
 
     step = max(abs(lam_top), tol) / 200.0
-    hi_mu = lam_top
-    lo_mu = None
+    offsets = []
     mu = lam_top - step
     while mu > lam_bot - 0.5 * step:
-        v, _ = violation(d, grids, mu, e)
-        if v > _VIOLATION_EPS:
-            lo_mu = mu
-            break
-        hi_mu = mu
+        offsets.append(mu)
         mu -= step
-    if lo_mu is None:
+
+    def violated(mu, refine=True):
+        return violation(d, grids, mu, e, refine=refine)[0] > _VIOLATION_EPS
+
+    k = next((i for i, mu in enumerate(offsets) if violated(mu, refine=False)), None)
+    if k is None:
+        k = next((i for i, mu in enumerate(offsets) if violated(mu)), None)
+    else:
+        while k > 0 and violated(offsets[k - 1]):
+            k -= 1
+    if k is None:
         return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam_bot,
                                    case_tag=TAG_UNRESOLVED, witness=None, tol=tol)
+    lo_mu = offsets[k]
+    hi_mu = offsets[k - 1] if k > 0 else lam_top
 
     while hi_mu - lo_mu > tol:
         mid = 0.5 * (lo_mu + hi_mu)
         if not lo_mu < mid < hi_mu:  # the gap is down to float spacing
             break
-        v, _ = violation(d, grids, mid, e)
-        if v > _VIOLATION_EPS:
+        if violated(mid):
             lo_mu = mid
         else:
             hi_mu = mid

@@ -47,6 +47,9 @@ class TestErrors:
         ("critical-plane", "--domain", "gadget"),
         ("critical-plane", "--domain", "ball", "--e", "0,0"),
         ("slab-measure", "--domain", "ball", "--gamma", "0.5"),
+        ("torsion-check", "--domain", "ball:2"),
+        ("torsion-check", "--domain", "ellipsoid:x"),
+        ("torsion-check", "--domain", "bump:1e-3"),
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -7,14 +7,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracshape.domains import ball, bump_domain, ellipsoid
-from fracshape.movingplanes import (TAG_TANGENCY, TAG_UNRESOLVED,
-                                    critical_lambda, reflect, support_value,
-                                    to_record, violation)
+from fracshape.movingplanes import (_VIOLATION_EPS, TAG_ORTHOGONAL, TAG_TANGENCY,
+                                    TAG_UNRESOLVED, _chart_grids, critical_lambda,
+                                    reflect, support_value, to_record, violation)
 from fracshape.specfun import FracParams
 
 P = FracParams(2, 0.5)
 
 finite = st.floats(min_value=-5, max_value=5)
+
+
+def refined_scan(d, e, tol, seed=0):
+    """Reference ``(lam, case_tag, Lambda, witness)``: the critical-plane scan
+    with a refined ``violation`` call at every step of the downward scan."""
+    e = np.asarray(e, dtype=float) / float(np.linalg.norm(e))
+    lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
+    grids = _chart_grids(d, seed)
+
+    def violated(mu):
+        return violation(d, grids, mu, e, refine=True)[0] > _VIOLATION_EPS
+
+    step = max(abs(lam_top), tol) / 200.0
+    hi_mu, lo_mu = lam_top, None
+    mu = lam_top - step
+    while mu > lam_bot - 0.5 * step:
+        if violated(mu):
+            lo_mu = mu
+            break
+        hi_mu = mu
+        mu -= step
+    if lo_mu is None:
+        return lam_bot, TAG_UNRESOLVED, lam_top, None
+    while hi_mu - lo_mu > tol:
+        mid = 0.5 * (lo_mu + hi_mu)
+        if not lo_mu < mid < hi_mu:
+            break
+        if violated(mid):
+            lo_mu = mid
+        else:
+            hi_mu = mid
+    lam = 0.5 * (lo_mu + hi_mu)
+    v_w, witness = violation(d, grids, lam - tol, e, refine=True)
+    if witness is None or v_w <= _VIOLATION_EPS:
+        return lam, TAG_UNRESOLVED, lam_top, witness
+    case = TAG_ORTHOGONAL if abs(float(witness @ e) - lam) <= 10.0 * tol else TAG_TANGENCY
+    return lam, case, lam_top, witness
 
 
 class TestReflect:
@@ -87,6 +124,52 @@ class TestCriticalPlane:
         fine = critical_lambda(d, e, tol=1e-300)
         assert fine.lam == pytest.approx(coarse.lam, abs=1e-8)
         assert fine.case_tag != TAG_UNRESOLVED
+
+    @pytest.mark.parametrize("make, e, tol", [
+        (lambda: ball((0.0, 0.0), 1.0), (1.0, 0.0), 1e-6),
+        (lambda: ellipsoid(P, 0.1), (1.0, 1.0), 1e-6),
+        (lambda: bump_domain(1e-3, 2.0), (1.0, 0.0), 1e-8),
+        (lambda: bump_domain(1e-4, 2.0), (1.0, 0.0), 1e-8),
+        (lambda: bump_domain(1e-2, 2.0), (0.0, 1.0), 1e-6),
+    ], ids=["ball", "ellipsoid-0.1-e11", "bump-1e-3", "bump-1e-4", "bump-1e-2-e01"])
+    def test_coarse_scan_matches_refined_scan(self, make, e, tol):
+        d = make()
+        lam, case, lam_top, witness = refined_scan(d, e, tol)
+        res = critical_lambda(d, np.array(e), tol=tol)
+        assert (res.lam, res.case_tag, res.Lambda) == (lam, case, lam_top)
+        if e == (1.0, 0.0):
+            np.testing.assert_array_equal(res.witness, witness)
+        else:
+            np.testing.assert_allclose(res.witness, witness, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("late_by", [3, None], ids=["walk-back", "fallback"])
+    def test_refined_calls_mend_a_late_raw_pass(self, monkeypatch, late_by):
+        # a raw pass that sees violations only late_by steps below the critical
+        # offset (None: nowhere) still gives the all-refined scan's result
+        d, e = ball((0.0, 0.0), 1.0), (1.0, 0.0)
+        want = refined_scan(d, e, 1e-6)
+        seen_below = -math.inf if late_by is None else want[0] - late_by * want[2] / 200.0
+
+        def late(*args, refine=True):
+            if refine or args[2] < seen_below:
+                return violation(*args, refine=refine)
+            return -math.inf, None
+
+        monkeypatch.setattr("fracshape.movingplanes.violation", late)
+        res = critical_lambda(d, np.array(e), tol=1e-6)
+        assert (res.lam, res.case_tag, res.Lambda) == want[:3]
+        np.testing.assert_array_equal(res.witness, want[3])
+
+    def test_refines_only_near_the_critical_offset(self, monkeypatch):
+        refined = []
+
+        def counted(*args, refine=True):
+            refined.append(refine)
+            return violation(*args, refine=refine)
+
+        monkeypatch.setattr("fracshape.movingplanes.violation", counted)
+        critical_lambda(bump_domain(1e-3, 2.0), np.array([1.0, 0.0]), tol=1e-8)
+        assert sum(refined) <= 30
 
     def test_shifted_ball_finds_its_center(self):
         res = critical_lambda(ball((0.3, -0.2), 0.8), np.array([1.0, 0.0]), tol=1e-7)
