@@ -11,8 +11,7 @@ from .domains import (Chart, DiskDeviation, DomainParameterError,
                       signed_distance)
 from .frlap import (EvaluationPointError, FrlapResult, QuadratureConfig,
                     ScalarField, UnsupportedDimensionError, barrier,
-                    frlap_eval, power_field, torsion_ball, torsion_ellipsoid,
-                    zero_field)
+                    frlap_eval, power_field, torsion_ball, torsion_ellipsoid)
 from .movingplanes import (TAG_ORTHOGONAL, TAG_TANGENCY, TAG_UNRESOLVED,
                            CriticalPlaneResult, critical_lambda, reflect,
                            support_value, to_record)
@@ -22,7 +21,7 @@ from .measures import (MeasureEstimate, MeasureParameterError,
 from .seminorm import (EllipsoidChart, OptimBudget, SeminormResult,
                        ellipsoid_chart, ellipsoid_ratio_limit,
                        ellipsoid_seminorm, ellipsoid_seminorm_ratio,
-                       lipschitz_seminorm, phi0_quotient, phi0_quotient_sup,
+                       lipschitz_seminorm, phi0_quotient_sup,
                        psi_profile, psi_profile_derivative,
                        richardson_limit)
 from .experiments import (FitResult, LemmaResult, ProbeResult, ScanResult,

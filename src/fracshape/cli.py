@@ -5,8 +5,10 @@ as decimal strings and echoed verbatim into the JSON summary, artifact
 file names derive from a content hash of {command, params, seed}, and
 re-running the same config reproduces every output byte.  Failures print
 a machine-readable JSON object ``{"error", "command"}`` on standard error
-and exit with status 2 for invalid input, or 3 for a numerical failure
-(a boundary projection that misses its residual tolerance, for instance).
+and exit with status 2 for invalid input (a bad flag, an unreadable file or
+a parameter the library rejects), 3 for a numerical failure (a boundary
+projection that misses its residual tolerance, for instance), or 4 for any
+other error, which is a fault of the program.
 """
 
 from __future__ import annotations
@@ -19,19 +21,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import ball, bump_domain, boundary_distance, ellipsoid
+from .domains import (DomainParameterError, ball, bump_domain, boundary_distance,
+                      ellipsoid)
 from .experiments import (LEMMA_FIELDS, PROBE_FIELDS, SCAN_FIELDS, config_hash,
                           counterexample_scan, geometric_lemma_check,
                           stability_probe, write_table)
-from .frlap import frlap_eval, torsion_ball, torsion_ellipsoid
-from .measures import boundary_weighted_integral, halton_points, slab_measure
+from .frlap import (EvaluationPointError, UnsupportedDimensionError, frlap_eval,
+                    torsion_ball, torsion_ellipsoid)
+from .measures import (MeasureParameterError, boundary_weighted_integral,
+                       halton_points, slab_measure)
 from .movingplanes import critical_lambda, to_record
 from .seminorm import OptimBudget, ellipsoid_ratio_limit, ellipsoid_seminorm
-from .specfun import FracParams, gamma_ns
+from .specfun import FracParams, GammaPoleError, ParameterDomainError, gamma_ns
 
 
 class CliError(ValueError):
     """Invalid invocation; reported as JSON on stderr with exit code 2."""
+
+
+# errors that mean invalid input (exit 2); any other ValueError is a fault
+_INPUT_ERRORS = (CliError, OSError, ParameterDomainError, GammaPoleError,
+                 DomainParameterError, MeasureParameterError, EvaluationPointError,
+                 UnsupportedDimensionError)
 
 
 @dataclass
@@ -96,7 +107,7 @@ def _collect_config(args) -> RunConfig:
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CliError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise CliError("config must be a JSON object")
@@ -361,10 +372,12 @@ def main(argv=None) -> int:
             raise CliError(f"missing subcommand (one of {', '.join(_SPECS)})")
         cfg = _collect_config(args)
         return _DISPATCH[cfg.command](cfg)
-    except (CliError, ValueError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         error, code = exc, 2
     except RuntimeError as exc:  # ProjectionError and other numerical failures
         error, code = exc, 3
+    except Exception as exc:
+        error, code = exc, 4
     payload = {"error": str(error), "command": getattr(args, "command", None)}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code

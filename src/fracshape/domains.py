@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .optim import coordinate_descent, golden_max, golden_min
 
@@ -259,11 +258,9 @@ def odd_cutoff(t):
 
 
 def bump_profile(eps: float, alpha: float):
-    """Lower-boundary graph of the bump-perturbed disk, with its derivative.
-
-    Returns ``(psi, dpsi)``; the profile is the circle graph minus an odd
-    bump of height ~eps centered at tau = eps^(1-1/alpha) with width
-    eps^(1/alpha).
+    """Lower-boundary graph ``psi`` of the bump-perturbed disk: the circle
+    graph minus an odd bump of height ~eps centered at tau = eps^(1-1/alpha)
+    with width eps^(1/alpha).
     """
     eps = float(eps)
     alpha = float(alpha)
@@ -274,14 +271,7 @@ def bump_profile(eps: float, alpha: float):
         tau = np.asarray(tau, dtype=float)
         return -np.sqrt(1.0 - tau * tau) - eps * odd_cutoff((tau - center) / width)
 
-    def dpsi(tau):
-        tau = np.asarray(tau, dtype=float)
-        h = 1e-7
-        bump_d = (odd_cutoff((tau - center) / width + h) -
-                  odd_cutoff((tau - center) / width - h)) / (2.0 * h)
-        return tau / np.sqrt(1.0 - tau * tau) - (eps / width) * bump_d
-
-    return psi, dpsi
+    return psi
 
 
 # Angular extent of the circular arc that the graph chart replaces:
@@ -311,7 +301,7 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         raise DomainParameterError(
             f"bump support [{center - width:.3g}, {center + width:.3g}] leaves the strip; "
             "reduce eps")
-    psi, dpsi = bump_profile(epsf, alphaf)
+    psi = bump_profile(epsf, alphaf)
 
     def level(pts):
         pts = np.asarray(pts, dtype=float)
@@ -337,16 +327,6 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         Chart(graph_chart, sup_lo, sup_hi, dense=True),
     )
 
-    def normal(pts):
-        pts = np.asarray(pts, dtype=float)
-        x1, x2 = pts[..., 0], pts[..., 1]
-        in_strip = (x1 > 0.0) & (x1 < 0.5) & (x2 > -1.5) & (x2 < -0.5)
-        slope = dpsi(np.where(in_strip, x1, 0.0))
-        g_graph = np.stack([slope, -np.ones_like(slope)], axis=-1)
-        g_circ = pts
-        g = np.where(in_strip[..., None], g_graph, g_circ)
-        return g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
-
     # Bounding box for where the domain can deviate from the unit disk.
     taus = np.linspace(sup_lo, sup_hi, 4097)
     circ_y = -np.sqrt(1.0 - taus**2)
@@ -362,7 +342,6 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         level=level,
         bbox=np.array([[-margin, -margin], [margin, margin]]),
         boundary_param=charts,
-        normal=normal,
         disk_deviation=DiskDeviation(radius=1.0, box=box),
     )
 
@@ -408,6 +387,11 @@ def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
     """Distance from each point to the sampled-and-refined boundary.  Each
     chart gets its own KD-tree: charts may overlap (the bump's dense support
     chart lies on its graph chart) and a node's parameter is chart-local."""
+    # imported here, not at the top: scipy.spatial is most of the time of
+    # ``import fracshape``, and only this search uses it (the first
+    # ``halton_points`` draw loads it anyway, through scipy.stats)
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
     best = np.full(flat.shape[0], np.inf)

@@ -34,21 +34,18 @@ class UnsupportedDimensionError(ValueError):
     """Quadrature requested in a dimension it does not implement."""
 
 
+_TOL = 0.01  # self-error, relative to max(1, |value|), that counts as converged
+_INNER_RADIUS = 0.05  # smallest admissible distance from a kinked support's boundary
+_SPLIT = 0.5  # inner/outer cutoff as a fraction of that distance
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and tolerances for :func:`frlap_eval`.
-
-    ``inner_radius`` is the smallest admissible distance from the support
-    boundary for kinked fields; ``split`` places the inner/outer cutoff as
-    a fraction of that distance (or of the field's own smooth scale).
-    """
+    """Node counts for :func:`frlap_eval`."""
 
     inner_radial: int = 64
     inner_angular: int = 64
     outer_panels: int = 12
-    tol: float = 0.01
-    inner_radius: float = 0.05
-    split: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,16 +54,15 @@ class ScalarField:
 
     ``power_quad = (Q, amp)`` declares the closed form
     ``amp * (1 - x^T Q x)_+^s``; the quadrature uses it to split rays
-    exactly at the support crossing.  ``kink_at_support`` distinguishes
-    fields with an s-Holder edge from globally smooth ones; the latter
-    carry their own ``inner_scale`` for the quadrature split.
+    exactly at the support crossing.  Globally smooth fields carry their
+    own ``inner_scale``, the inner/outer cutoff radius; fields without one
+    have an s-Holder edge at the support boundary.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     support: ImplicitDomain
     params: FracParams
     power_quad: Optional[tuple] = None
-    kink_at_support: bool = True
     inner_scale: Optional[float] = None
 
 
@@ -103,13 +99,6 @@ def torsion_ellipsoid(p: FracParams, eps: float) -> ScalarField:
     a = 1.0 + float(eps)
     Q = np.diag([1.0 / a**2] + [1.0] * (p.n - 1))
     return power_field(p, Q, gamma_nse(p, eps), ellipsoid(p, eps))
-
-
-def zero_field(p: FracParams) -> ScalarField:
-    dom = ball(np.zeros(p.n), 1.0)
-    return ScalarField(eval=lambda pts: np.zeros(np.asarray(pts, dtype=float).shape[:-1]),
-                       support=dom, params=p,
-                       kink_at_support=False, inner_scale=0.5)
 
 
 def radial_cutoff(r):
@@ -150,8 +139,7 @@ def barrier(p: FracParams, a, rho: float) -> ScalarField:
     lo = np.minimum(a, a_mirror) - rho
     hi = np.maximum(a, a_mirror) + rho
     support = ImplicitDomain(level=level, bbox=np.stack([lo, hi]))
-    return ScalarField(eval=eval_, support=support, params=p, kink_at_support=False,
-                       inner_scale=rho / 2.0)
+    return ScalarField(eval=eval_, support=support, params=p, inner_scale=rho / 2.0)
 
 
 @lru_cache(maxsize=64)
@@ -244,27 +232,26 @@ def frlap_eval(f: ScalarField, x, acc: Optional[QuadratureConfig] = None) -> Frl
 
     Returns the value together with a self-estimated error (difference
     against a half-resolution rule); ``converged`` says whether that
-    estimate meets ``acc.tol`` relative to max(1, |value|).
+    estimate meets ``_TOL`` relative to max(1, |value|).
     """
     acc = acc or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     if f.params.n != 2 or x.shape != (2,):
         raise UnsupportedDimensionError("quadrature implemented for n = 2 points only")
-    if f.kink_at_support:
+    if f.inner_scale is None:
         if float(f.support.level(x)) >= 0.0:
             raise EvaluationPointError("evaluation point must be interior to the support")
         delta = float(boundary_distance(f.support, x))
-        if delta <= acc.inner_radius:
+        if delta <= _INNER_RADIUS:
             raise EvaluationPointError(
                 f"point too close to the support boundary (dist {delta:.3g} "
-                f"<= {acc.inner_radius:g})")
-        r0 = acc.split * delta
+                f"<= {_INNER_RADIUS:g})")
+        r0 = _SPLIT * delta
     else:
-        base = f.inner_scale if f.inner_scale else 0.5
-        r0 = base * (acc.split / 0.5)
+        r0 = f.inner_scale
     value = _frlap_value(f, x, r0, acc.inner_radial, acc.inner_angular, acc.outer_panels)
     coarse = _frlap_value(f, x, r0, max(8, acc.inner_radial // 2),
                           max(8, acc.inner_angular // 2), max(3, acc.outer_panels // 2))
     err = abs(value - coarse)
     return FrlapResult(value=value, error=err,
-                       converged=err <= acc.tol * max(1.0, abs(value)))
+                       converged=err <= _TOL * max(1.0, abs(value)))

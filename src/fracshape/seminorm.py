@@ -1,29 +1,37 @@
 """Lipschitz seminorms on parametrized boundary curves and the offset-ellipse
 chart machinery behind the stretched-ball seminorm limit.
 
-The seminorm sup is attacked by dense quasi-random pair sampling seeded
-with diagonal (nearly coincident) candidates, then coordinate-wise
-golden-section polish of the best pairs.  Values are high-confidence
-lower bounds of the true sup; the known limits make under-estimation
-visible in the tests.
+The generic sup is a pair search (quasi-random pairs plus pairs 1e-4 of the
+span apart, golden-polished), a lower bound of the true sup.  On the
+stretched ball and the eps = 0 circle quotient the sup is the coincidence
+limit, a closed-form rate maximized along the chart; the pair search then
+only checks it, and a pair that beats it less its rounding allowance marks
+the result unconverged.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import Chart
+from .domains import Chart, polish
 from .measures import halton_points
 from .optim import golden_max
-from .specfun import FracParams, ParameterDomainError, gamma_ns
+from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
 
 
 _N_REFINE = 32  # best sampled pairs that go on to golden-section polish
 _ROUNDS = 3  # polish rounds, each one pass per pair coordinate
+_GRID = 2048  # chart nodes for the diagonal pairs and the coincidence rate
+# A pair's numerator |f(x) - f(y)| carries rounding: the chart points are
+# rounded off the curve, where the field's normal slope is O(1), and the
+# field evaluation rounds again.  The worst polished pair seen, at
+# (s, eps) = (0.75, 0.02) with a chord of 2.6e-7, overshoots the coincidence
+# sup by about 70 ulps of |f|; 256 ulps covers that more than three times.
+_ROUNDING_ULPS = 256.0
+_MARGIN = 1e-9  # relative lead over the closed form that flags a pair
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,6 @@ class OptimBudget:
 class SeminormResult:
     value: float
     pair: np.ndarray
-    n_pairs: int
     converged: bool
 
 
@@ -53,69 +60,78 @@ class EllipsoidChart:
     phi_eps: Callable[[np.ndarray], np.ndarray]
 
 
+def _offset_coefficients(e: float, tau):
+    """Coefficients a(tau), b(tau) of the offset chart, with the root
+    sqrt(1 + q tau^2) they share; q = (1 + e)^2 - 1."""
+    tau = np.asarray(tau, dtype=float)
+    root = np.sqrt(1.0 + (2.0 * e + e * e) * tau * tau)
+    return 1.0 + e - 1.0 / (2.0 * root), 1.0 - (1.0 + e) / (2.0 * root), root
+
+
+def _offset_profile(e: float, tau):
+    """Offset-chart algebra at tau = |r|: a, b, the slope a'(tau) (b' is
+    (1 + e) a'), the torsion profile X = 1 - x1^2/(1+e)^2 - x2^2 at the
+    chart point and dX/dtau.
+
+    Every term of dX/dtau is O(e) as written (a/(1+e) - b is
+    q / (2 (1+e) root)), so it keeps full relative accuracy as e -> 0.
+    """
+    tau = np.asarray(tau, dtype=float)
+    a, b, root = _offset_coefficients(e, tau)
+    q = 2.0 * e + e * e
+    da = q * tau / (2.0 * root ** 3)
+    c = a / (1.0 + e)
+    x = 1.0 - (1.0 - tau * tau) * c * c - tau * tau * b * b
+    dx = (tau * q * (c + b) / ((1.0 + e) * root)
+          - 2.0 * (1.0 - tau * tau) * c * da / (1.0 + e)
+          - 2.0 * tau * tau * b * (1.0 + e) * da)
+    return a, b, da, x, dx
+
+
 def ellipsoid_chart(eps: float) -> EllipsoidChart:
     """Chart r in [-1, 1] -> 1/2-inward offset of the (1+eps)-stretched
     circle, covering the x1 >= 0 half (n = 2).
 
     The offset point along the inward normal of the stretched circle
-    works out to (a(|r|) sqrt(1-r^2), b(|r|) r) with the coefficients
-    below; at eps = 0 it degenerates to the circle of radius 1/2.
+    works out to (a(|r|) sqrt(1-r^2), b(|r|) r) with ``_offset_coefficients``;
+    at eps = 0 it degenerates to the circle of radius 1/2.
     """
     e = float(eps)
     if not 0.0 <= e < 1.0:
         raise ParameterDomainError(f"chart stretch restricted to [0, 1), got {eps!r}")
-    q = (1.0 + e) ** 2 - 1.0
-
-    def a_eps(tau):
-        tau = np.asarray(tau, dtype=float)
-        return 1.0 + e - 1.0 / (2.0 * np.sqrt(1.0 + q * tau * tau))
-
-    def b_eps(tau):
-        tau = np.asarray(tau, dtype=float)
-        return 1.0 - (1.0 + e) / (2.0 * np.sqrt(1.0 + q * tau * tau))
 
     def phi_eps(r):
         r = np.asarray(r, dtype=float)
-        tau = np.abs(r)
-        return np.stack([a_eps(tau) * np.sqrt(np.maximum(0.0, 1.0 - r * r)),
-                         b_eps(tau) * r], axis=-1)
+        a, b, _ = _offset_coefficients(e, np.abs(r))
+        return np.stack([a * np.sqrt(np.maximum(0.0, 1.0 - r * r)), b * r], axis=-1)
 
-    return EllipsoidChart(eps=e, a_eps=a_eps, b_eps=b_eps, phi_eps=phi_eps)
+    return EllipsoidChart(eps=e, a_eps=lambda tau: _offset_coefficients(e, tau)[0],
+                          b_eps=lambda tau: _offset_coefficients(e, tau)[1],
+                          phi_eps=phi_eps)
 
 
-def _pair_sup(num_fn, den_fn, lo: float, hi: float, budget: OptimBudget,
-              anchors=()):
-    """sup over parameter pairs of num/den by sampling plus refinement.
-
-    ``anchors`` seed extra near-diagonal pairs around known maximizer
-    locations.  Returns (value, (t, t_tilde), converged).
+def _pair_sup(values, chart: Chart, budget: OptimBudget):
+    """sup over parameter pairs of |f(x)-f(y)|/|x-y| by sampling plus
+    refinement.  Returns (value, (t, t_tilde), converged).
     """
+    lo, hi = chart.lo, chart.hi
     span = hi - lo
 
     def quotient(t, tt):
-        num = np.asarray(num_fn(t, tt), dtype=float)
-        den = np.asarray(den_fn(t, tt), dtype=float)
+        x = np.asarray(chart.fn(t), dtype=float)
+        y = np.asarray(chart.fn(tt), dtype=float)
+        num = np.abs(np.asarray(values(x), dtype=float) - np.asarray(values(y), dtype=float))
+        den = np.linalg.norm(x - y, axis=-1)
         return np.where(den > 1e-14 * max(1.0, span), num / np.maximum(den, 1e-300), 0.0)
 
     u = halton_points(budget.n_pairs, 2, budget.seed)
-    t_a = lo + span * u[:, 0]
-    t_b = lo + span * u[:, 1]
-
     # Diagonal candidates: the sup of a smooth quotient often lives in the
     # coincidence limit, which blind pair sampling approaches only slowly.
-    grid = lo + span * (np.arange(2048) + 0.5) / 2048.0
-    diag_a, diag_b = [], []
-    for h in (1e-4 * span, 1e-6 * span):
-        diag_a.extend([grid, grid])
-        diag_b.append(np.minimum(grid + h, hi))
-        diag_b.append(np.maximum(grid - h, lo))
-    for anchor in anchors:
-        for h in (1e-3, 1e-5, 1e-7):
-            diag_a.extend([np.array([anchor])] * 2)
-            diag_b.append(np.array([min(anchor + h * span, hi)]))
-            diag_b.append(np.array([max(anchor - h * span, lo)]))
-    t_a = np.concatenate([t_a] + diag_a)
-    t_b = np.concatenate([t_b] + diag_b)
+    grid = lo + span * (np.arange(_GRID) + 0.5) / _GRID
+    h = 1e-4 * span
+    t_a = np.concatenate([lo + span * u[:, 0], grid, grid])
+    t_b = np.concatenate([lo + span * u[:, 1], np.minimum(grid + h, hi),
+                          np.maximum(grid - h, lo)])
 
     vals = quotient(t_a, t_b)
     order = np.argsort(vals)
@@ -150,36 +166,66 @@ def _pair_sup(num_fn, den_fn, lo: float, hi: float, budget: OptimBudget,
     return best, pair, converged
 
 
-def lipschitz_seminorm(field, chart: Chart, budget: Optional[OptimBudget] = None,
-                       anchors=()) -> SeminormResult:
+def lipschitz_seminorm(field, chart: Chart,
+                       budget: Optional[OptimBudget] = None) -> SeminormResult:
     """Lower bound on sup |f(x)-f(y)|/|x-y| over the parametrized curve.
 
     ``field`` is either a callable on points or anything with a vectorized
     ``eval`` attribute.  The achieving pair is reported in ambient
-    coordinates.
+    coordinates.  With no closed form to check against, ``converged`` only
+    says that the last polish round stopped raising the sup.
     """
-    budget = budget or OptimBudget()
     values = field.eval if hasattr(field, "eval") else field
-
-    def num_fn(t, tt):
-        return np.abs(np.asarray(values(chart.fn(t)), dtype=float)
-                      - np.asarray(values(chart.fn(tt)), dtype=float))
-
-    def den_fn(t, tt):
-        diff = np.asarray(chart.fn(t), dtype=float) - np.asarray(chart.fn(tt), dtype=float)
-        return np.linalg.norm(diff, axis=-1)
-
-    value, (t, tt), converged = _pair_sup(num_fn, den_fn, chart.lo, chart.hi,
-                                          budget, anchors=anchors)
+    value, (t, tt), converged = _pair_sup(values, chart, budget or OptimBudget())
     pair = np.stack([np.asarray(chart.fn(t), dtype=float),
                      np.asarray(chart.fn(tt), dtype=float)])
-    return SeminormResult(value=value, pair=pair, n_pairs=budget.n_pairs,
-                          converged=converged)
+    return SeminormResult(value=value, pair=pair, converged=converged)
+
+
+def _coincidence_sup(rate, lo: float, hi: float):
+    """Max over [lo, hi] of a coincidence rate |d f(phi(t))/dt| / |phi'(t)|,
+    the limit of the pair quotient as both ends meet at t: the best node of
+    a midpoint grid, golden-polished.  Returns (value, t)."""
+    t = lo + (hi - lo) * (np.arange(_GRID) + 0.5) / _GRID
+    k = int(np.argmax(rate(t)))
+    t_star, value = polish(rate, lo, hi, t[k], (hi - lo) / _GRID, maximize=True)
+    return value, t_star
+
+
+def _closed_form_seminorm(values, chart: Chart, rate,
+                          budget: Optional[OptimBudget]) -> SeminormResult:
+    """Seminorm of ``values`` along ``chart`` whose sup is the coincidence
+    limit of ``rate``: the larger of that closed form and the best pair's
+    quotient less its rounding allowance (``_ROUNDING_ULPS`` of its larger
+    field value, over its chord).  Unconverged only when the pair wins by
+    more than ``_MARGIN``: an off-diagonal maximizer needs a real search.
+    When the closed form wins, the pair reported is its maximizer, twice.
+    """
+    closed, t = _coincidence_sup(rate, chart.lo, chart.hi)
+    res = lipschitz_seminorm(values, chart, budget)
+    fx, fy = (float(values(x)) for x in res.pair)
+    allowance = _ROUNDING_ULPS * float(np.spacing(max(abs(fx), abs(fy))))
+    pair = (abs(fx - fy) - allowance) / float(np.linalg.norm(res.pair[0] - res.pair[1]))
+    if pair > closed:
+        return SeminormResult(pair, res.pair, converged=pair <= closed * (1.0 + _MARGIN))
+    x = np.asarray(chart.fn(t), dtype=float)
+    return SeminormResult(closed, np.stack([x, x]), converged=True)
 
 
 def ellipsoid_ratio_limit(p: FracParams) -> float:
     """Small-stretch limit of the boundary seminorm over the stretch size."""
     return p.s * gamma_ns(p) * 0.75 ** (p.s - 1.0)
+
+
+def _torsion_rate(p: FracParams, eps: float, r):
+    """Coincidence rate gamma_nse |s X^(s-1) X'(tau)| / |phi_eps'(r)| of the
+    stretched-ball torsion field, tau = |r|; numerator and denominator are
+    both taken times sqrt(1 - r^2), which keeps them finite at |r| = 1."""
+    tau = np.abs(np.asarray(r, dtype=float))
+    a, b, da, x, dx = _offset_profile(eps, tau)
+    w = np.sqrt(1.0 - tau * tau)
+    speed = np.hypot(a * tau - da * w * w, w * ((1.0 + eps) * da * tau + b))
+    return gamma_nse(p, eps) * p.s * x ** (p.s - 1.0) * np.abs(dx) * w / speed
 
 
 def ellipsoid_seminorm(p: FracParams, eps: float,
@@ -190,6 +236,7 @@ def ellipsoid_seminorm(p: FracParams, eps: float,
     The chart covers the x1 >= 0 half; both the curve and the profile are
     even in x1 and in x2, so straddling pairs never beat same-half pairs
     (reflecting one endpoint keeps the numerator and shrinks the chord).
+    The sup is the coincidence limit, maximized in closed form.
     """
     from .frlap import torsion_ellipsoid
 
@@ -197,12 +244,9 @@ def ellipsoid_seminorm(p: FracParams, eps: float,
         raise ParameterDomainError("offset-chart seminorm implemented for n = 2")
     if not 0.0 < eps < 0.25:
         raise ParameterDomainError(f"stretch restricted to (0, 1/4), got {eps!r}")
-    chart = ellipsoid_chart(eps)
-    field = torsion_ellipsoid(p, eps)
-    # The coincidence-limit maximizers sit near |r| = 1/sqrt(2).
-    anchors = (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    return lipschitz_seminorm(field, Chart(chart.phi_eps, -1.0, 1.0),
-                              budget=budget, anchors=anchors)
+    chart = Chart(ellipsoid_chart(eps).phi_eps, -1.0, 1.0)
+    return _closed_form_seminorm(torsion_ellipsoid(p, eps).eval, chart,
+                                 lambda r: _torsion_rate(p, eps, r), budget)
 
 
 def ellipsoid_seminorm_ratio(p: FracParams, eps: float,
@@ -227,32 +271,15 @@ def richardson_limit(eps_values, ratios) -> float:
     return t[m - 1]
 
 
-def phi0_quotient(r, rt) -> np.ndarray:
-    """Closed quotient | |r|^2 - |rt|^2 | / |phi0(r) - phi0(rt)| (n = 2)."""
-    chart = ellipsoid_chart(0.0)
-    num = np.abs(np.asarray(r, dtype=float) ** 2 - np.asarray(rt, dtype=float) ** 2)
-    den = np.linalg.norm(chart.phi_eps(r) - chart.phi_eps(rt), axis=-1)
-    return num / den
-
-
 def phi0_quotient_sup(budget: Optional[OptimBudget] = None) -> float:
-    """sup of the squared-radius increment over the half-circle chord.
-
-    The sup is approached along coincident pairs at |r| = 1/sqrt(2) and
-    equals 2; the search seeds that family explicitly.
+    """sup of |r^2 - rt^2| / |phi0(r) - phi0(rt)| on the half circle
+    phi0(r) = (sqrt(1 - r^2), r) / 2, where r^2 = 4 x2^2.  The coincidence
+    rate 2|r| / |phi0'(r)| = 4|r| sqrt(1 - r^2) peaks at |r| = 1/sqrt(2): 2.
     """
-    budget = budget or OptimBudget()
-    chart = ellipsoid_chart(0.0)
-
-    def num_fn(t, tt):
-        return np.abs(np.asarray(t, dtype=float) ** 2 - np.asarray(tt, dtype=float) ** 2)
-
-    def den_fn(t, tt):
-        return np.linalg.norm(chart.phi_eps(t) - chart.phi_eps(tt), axis=-1)
-
-    anchors = (-1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    value, _, _ = _pair_sup(num_fn, den_fn, -1.0, 1.0, budget, anchors=anchors)
-    return value
+    chart = Chart(ellipsoid_chart(0.0).phi_eps, -1.0, 1.0)
+    return _closed_form_seminorm(lambda x: 4.0 * x[..., 1] ** 2, chart,
+                                 lambda r: 4.0 * np.abs(r) * np.sqrt(1.0 - r * r),
+                                 budget).value
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +294,19 @@ def psi_profile(s: float, eps: float, tau):
     pointwise chart limit into a limit of the pair sup.  Accepts s = 1
     (the profile formula itself degenerates gracefully).
     """
+    if not 0.0 < eps < 1.0:
+        raise ParameterDomainError(f"profile stretch restricted to (0, 1), got {eps!r}")
     tau = np.asarray(tau, dtype=float)
-    e = float(eps)
-    chart = ellipsoid_chart(e)
-    x = (1.0 - chart.a_eps(tau) ** 2 * (1.0 - tau * tau) / (1.0 + e) ** 2
-         - chart.b_eps(tau) ** 2 * tau * tau)
-    return (x ** s - 0.75 ** s) / e + 0.5 * s * 0.75 ** (s - 1.0) * (1.0 - tau * tau)
+    x = _offset_profile(float(eps), tau)[3]
+    return (x ** s - 0.75 ** s) / eps + 0.5 * s * 0.75 ** (s - 1.0) * (1.0 - tau * tau)
 
 
 def psi_profile_derivative(s: float, eps: float, tau):
-    """Closed-form d(psi_profile)/d(tau).
-
-    The product-rule core is d/dtau of the composed profile power; the
-    full derivative divides it by eps and subtracts the quadratic ramp's
-    slope s tau (3/4)^(s-1).
+    """Closed-form d(psi_profile)/d(tau): the slope s X^(s-1) X'(tau) of the
+    composed profile power over eps, minus the quadratic ramp's slope
+    s tau (3/4)^(s-1).  The same slope, times gamma_nse, is the numerator
+    of the stretched-ball coincidence rate.
     """
     tau = np.asarray(tau, dtype=float)
-    e = float(eps)
-    q = 2.0 * e + e * e
-    root = np.sqrt(1.0 + q * tau * tau)
-    a = 1.0 + e - 1.0 / (2.0 * root)
-    b = 1.0 - (1.0 + e) / (2.0 * root)
-    one = (1.0 + q * tau * tau) ** 1.5
-    core = (-tau ** 3 * (1.0 + e) * q * b / one
-            + 2.0 * tau * a * a / (1.0 + e) ** 2
-            - 2.0 * tau * b * b
-            - (1.0 - tau * tau) * tau * q * a / ((1.0 + e) ** 2 * one))
-    x = 1.0 - (1.0 - tau * tau) * a * a / (1.0 + e) ** 2 - tau * tau * b * b
-    return s * core * x ** (s - 1.0) / e - s * tau * 0.75 ** (s - 1.0)
-
+    _, _, _, x, dx = _offset_profile(float(eps), tau)
+    return s * dx * x ** (s - 1.0) / eps - s * tau * 0.75 ** (s - 1.0)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fracshape import cli
 from fracshape.cli import main
 from fracshape.domains import ProjectionError
 from fracshape.specfun import FracParams, gamma_ns
@@ -75,6 +76,16 @@ class TestErrors:
                            "command": "critical-plane"}
 
 
+    def test_internal_fault_exits_four(self, capsys, monkeypatch):
+        def fail(cfg):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setitem(cli._DISPATCH, "constants", fail)
+        code, out, err = run(capsys, "constants")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "an internal fault", "command": "constants"}
+
+
 class TestRunConfig:
 
     def test_unknown_keys_rejected(self, capsys, tmp_path):
@@ -115,6 +126,13 @@ class TestRunConfig:
         payload = json.loads(err)
         assert set(payload) == {"error", "command"}
         assert payload["command"] == "constants"
+
+    def test_undecodable_config_exits_two(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, "constants", "--config", str(cfg_file))
+        assert code == 2
+        assert "not valid JSON" in json.loads(err)["error"]
 
 
 class TestCriticalPlane:

@@ -126,7 +126,7 @@ class TestBumpFamily:
 
     def test_profile_follows_circle_off_support(self):
         eps, alpha = 1e-3, 2.0
-        psi, _ = bump_profile(eps, alpha)
+        psi = bump_profile(eps, alpha)
         center, width = eps ** (1 - 1 / alpha), eps ** (1 / alpha)
         tau = np.array([center + 0.8 * width, center - 0.8 * width])
         assert np.all(np.abs(psi(tau) + np.sqrt(1 - tau**2)) == 0.0)
@@ -156,7 +156,7 @@ class TestBumpFamily:
         # the boundary (the arc off the strip plus the graph over it); its
         # chord error stays below 1e-9.
         d = bump_domain(eps, 2.0)
-        psi, _ = bump_profile(eps, 2.0)
+        psi = bump_profile(eps, 2.0)
         center = width = math.sqrt(eps)
         theta = np.linspace(5 * math.pi / 3, 7 * math.pi / 2, 150_001)
         tau = np.linspace(0.0, 0.5, 100_001)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from fracshape.domains import ball
 from fracshape.frlap import (EvaluationPointError, QuadratureConfig,
                              UnsupportedDimensionError, barrier, frlap_eval,
-                             power_field, torsion_ball, torsion_ellipsoid,
-                             zero_field)
+                             power_field, torsion_ball, torsion_ellipsoid)
 from fracshape.specfun import FracParams, gamma_ns
 
 POINTS = [np.array(q) for q in [(0.0, 0.0), (0.3, 0.1), (-0.5, 0.4), (0.0, -0.7)]]
@@ -32,10 +31,6 @@ class TestTorsionIdentity:
             r = frlap_eval(f, x)
             assert r.converged
             assert r.value == pytest.approx(1.0, abs=1e-6)
-
-    def test_zero_field(self):
-        r = frlap_eval(zero_field(FracParams(2, 0.5)), np.zeros(2))
-        assert r.value == pytest.approx(0.0, abs=1e-12)
 
     def test_linearity_in_amplitude(self):
         p = FracParams(2, 0.5)

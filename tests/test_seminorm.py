@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from fracshape import seminorm
 from fracshape.domains import Chart, ellipsoid, signed_distance
+from fracshape.frlap import torsion_ellipsoid
 from fracshape.measures import halton_points
 from fracshape.seminorm import (EllipsoidChart, OptimBudget, ellipsoid_chart,
                                 ellipsoid_ratio_limit, ellipsoid_seminorm,
                                 ellipsoid_seminorm_ratio, lipschitz_seminorm,
-                                phi0_quotient, phi0_quotient_sup, psi_profile,
+                                phi0_quotient_sup, psi_profile,
                                 psi_profile_derivative, richardson_limit)
 from fracshape.specfun import FracParams, ParameterDomainError
 
@@ -118,12 +120,57 @@ class TestSeminormRatio:
             ellipsoid_seminorm(FracParams(3, 0.5), 0.01)
 
 
-class TestQuotient:
+class TestClosedForm:
 
-    def test_closed_form_oracle(self):
-        # quotient(0, 1/2) = (1/4) / |phi0(0) - phi0(1/2)| = cos(pi/12)
-        assert phi0_quotient(0.0, 0.5) == pytest.approx(math.cos(math.pi / 12.0),
-                                                        rel=1e-12)
+    @pytest.mark.parametrize("eps", [0.02, 0.01])
+    def test_rate_matches_differences(self, eps):
+        # chord quotients of the real field about r, central in r and
+        # Richardson-extrapolated over steps h and 2h
+        r = np.array([-0.9, -0.7, -0.5, -0.2, 0.1, 0.3, 0.6, 0.7071, 0.8, 0.95])
+        for s in (0.25, 0.5, 0.75):
+            p = FracParams(2, s)
+            f = torsion_ellipsoid(p, eps).eval
+            phi = ellipsoid_chart(eps).phi_eps
+
+            def quotient(h):
+                return (np.abs(f(phi(r + h)) - f(phi(r - h)))
+                        / np.linalg.norm(phi(r + h) - phi(r - h), axis=-1))
+
+            fd = (4.0 * quotient(3e-4) - quotient(6e-4)) / 3.0
+            assert seminorm._torsion_rate(p, eps, r) == pytest.approx(fd, rel=1e-8)
+
+    # rows whose pair search alone reported a roundoff-swamped value as
+    # converged on some seed
+    @pytest.mark.parametrize("s, eps", [(0.25, 0.005), (0.25, 0.01), (0.5, 1e-9),
+                                        (0.75, 0.005)])
+    def test_clean_rows_at_seed_700(self, s, eps):
+        p = FracParams(2, s)
+        res = ellipsoid_seminorm(p, eps, budget=OptimBudget(seed=700))
+        assert res.converged
+        assert abs(res.value / eps - ellipsoid_ratio_limit(p)) <= 0.5 * eps + 1e-3
+
+    def test_seed_does_not_move_the_value(self):
+        p = FracParams(2, 0.75)
+        a, b = (ellipsoid_seminorm(p, 0.005, budget=OptimBudget(seed=k)).value
+                for k in (0, 700))
+        assert a == pytest.approx(b, rel=1e-6)
+
+    def test_tiny_stretch_reaches_the_limit(self):
+        lim = ellipsoid_ratio_limit(P)
+        res = ellipsoid_seminorm(P, 1e-9)
+        assert res.converged
+        assert abs(res.value / 1e-9 - lim) <= 1e-6 * lim
+
+    def test_halved_rate_loses_to_the_pair_search(self, monkeypatch):
+        rate = seminorm._torsion_rate
+        monkeypatch.setattr(seminorm, "_torsion_rate",
+                            lambda p, eps, r: 0.5 * rate(p, eps, r))
+        res = ellipsoid_seminorm(P, 0.01, budget=SMALL)
+        assert not res.converged
+        assert res.value / 0.01 == pytest.approx(ellipsoid_ratio_limit(P), rel=0.02)
+
+
+class TestQuotient:
 
     def test_sup_is_two(self):
         assert phi0_quotient_sup(OptimBudget(n_pairs=20_000)) == pytest.approx(2.0, abs=1e-3)
