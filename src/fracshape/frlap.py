@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .domains import ImplicitDomain, ball, boundary_distance, _smoothstep
 from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
@@ -144,14 +143,19 @@ def barrier(p: FracParams, a, rho: float) -> ScalarField:
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(m: int, alpha: float, beta: float):
-    x, w = roots_jacobi(m, alpha, beta)
-    return x, w
+    # imported here, not at the top: scipy.special is most of the time of
+    # ``import fracshape``, and commands such as ``constants`` never build a rule
+    from scipy.special import roots_jacobi
+
+    return roots_jacobi(m, alpha, beta)
 
 
 @lru_cache(maxsize=8)
 def _legendre_rule(m: int):
-    x, w = roots_legendre(m)
-    return x, w
+    # imported here for the reason given in ``_jacobi_rule``
+    from scipy.special import roots_legendre
+
+    return roots_legendre(m)
 
 
 def _outer_power(f, x, s, r0, angles, n_nodes):

@@ -2,12 +2,14 @@
 and the boundary-weighted singular integral.
 
 Sampling is scrambled-Halton, seed-indexed, so every estimate is
-bit-reproducible.  Error bars are 3 sigma with the variance taken from an
-auxiliary pseudorandom draw: the low-discrepancy points are not
-independent, so their own spread is no variance estimate.  Whenever a
-domain certifies where it deviates from a centered disk, the slab
-estimator splits off the disk part in closed form and only samples the
-small deviation box.
+bit-reproducible.  Each estimate evaluates its integrand f once, on the n
+points of one Halton stream, and reports their mean with the bar
+3 sigma_f / sqrt(n), where sigma_f^2 = Var f(U).  The variance of those
+same n values, mean(f^2) - mean(f)^2, is itself a QMC estimate of
+sigma_f^2, so no second draw is needed.  The bar is the plain Monte Carlo
+scale, not a calibrated error of the QMC mean.  Whenever a domain certifies
+where it deviates from a centered disk, the slab estimator splits off the
+disk part in closed form and only samples the small deviation box.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import ImplicitDomain, boundary_distance, radial_extremes
-from .movingplanes import CriticalPlaneResult, reflect, reflected_box
-
-_AUX_SEED_OFFSET = 0x5EED
+from .movingplanes import CriticalPlaneResult, reflect
 
 
 class MeasureParameterError(ValueError):
@@ -54,16 +54,11 @@ def _box_volume(box: np.ndarray) -> float:
 
 
 def _mean_3sigma(pred, box: np.ndarray, n: int, seed: int):
-    """QMC mean of ``pred`` over the box plus an aux-PRNG 3 sigma width."""
+    """QMC mean of ``pred`` over the box and its 3 sigma / sqrt(n) bar, both
+    from the same ``n`` values."""
     lo, hi = box[0], box[1]
-    pts = lo + (hi - lo) * halton_points(n, lo.size, seed)
-    vals = np.asarray(pred(pts), dtype=float)
-    mean = float(np.mean(vals))
-    rng = np.random.default_rng(seed + _AUX_SEED_OFFSET)
-    aux = lo + (hi - lo) * rng.random((min(n, 8192), lo.size))
-    aux_vals = np.asarray(pred(aux), dtype=float)
-    var = float(np.var(aux_vals))
-    return mean, 3.0 * math.sqrt(var / n)
+    vals = np.asarray(pred(lo + (hi - lo) * halton_points(n, lo.size, seed)), dtype=float)
+    return float(np.mean(vals)), 3.0 * math.sqrt(float(np.var(vals)) / n)
 
 
 def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
@@ -72,15 +67,27 @@ def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
         raise MeasureParameterError(f"sample count must be >= 1, got {n!r}")
     box = np.asarray(box, dtype=float)
     vol = _box_volume(box)
-    mean, bar = _mean_3sigma(lambda p: np.asarray(pred(p), dtype=float), box, n, seed)
+    mean, bar = _mean_3sigma(pred, box, n, seed)
     return MeasureEstimate(value=vol * mean, error=vol * bar, method="monte-carlo",
                            n_samples=n)
 
 
-def _hull_box(*boxes) -> np.ndarray:
-    los = np.stack([b[0] for b in boxes])
-    his = np.stack([b[1] for b in boxes])
-    return np.stack([los.min(axis=0), his.max(axis=0)])
+def _mirror_hull(box: np.ndarray, lam: float, e) -> np.ndarray:
+    """Bounding box of ``box`` (a ``(2, n)`` array of lower and upper
+    corners) together with its mirror image across the plane {x.e = lam}."""
+    n = box.shape[1]
+    corners = box[np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n), np.arange(n)]
+    both = np.concatenate([corners, reflect(corners, lam, e)])
+    return np.stack([both.min(axis=0), both.max(axis=0)])
+
+
+def _sym_diff(d: ImplicitDomain, lam: float, e):
+    """Indicator of the symmetric difference of the domain and its mirror
+    image across {x.e = lam}."""
+    def pred(pts):
+        return d.contains(pts) ^ d.contains(reflect(pts, lam, e))
+
+    return pred
 
 
 def sym_diff_measure(d: ImplicitDomain, res: CriticalPlaneResult, n: int,
@@ -88,12 +95,7 @@ def sym_diff_measure(d: ImplicitDomain, res: CriticalPlaneResult, n: int,
     """Measure of the symmetric difference between the domain and its
     reflection across the critical plane."""
     e, lam = np.asarray(res.e, dtype=float), float(res.lam)
-    box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
-
-    def pred(pts):
-        return d.contains(pts) ^ d.contains(reflect(pts, lam, e))
-
-    return mc_volume(pred, box, n, seed)
+    return mc_volume(_sym_diff(d, lam, e), _mirror_hull(d.bbox, lam, e), n, seed)
 
 
 def _disk_slab_closed_form(gamma: float, lam: float, radius: float) -> float:
@@ -131,9 +133,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
     def in_band(pts):
         return np.abs(np.sum(pts * e, axis=-1) - lam) <= gamma
 
-    def sym_diff(pts):
-        return d.contains(pts) ^ d.contains(reflect(pts, lam, e))
-
+    sym_diff = _sym_diff(d, lam, e)
     dev = d.disk_deviation
     if dev is not None and d.dim == 2:
         base = _disk_slab_closed_form(gamma, lam, dev.radius)
@@ -145,7 +145,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         if dev.box is None:
             return MeasureEstimate(value=base, error=err_geom, method="closed-form",
                                    n_samples=0)
-        region = _hull_box(dev.box, reflected_box(dev.box, lam, e))
+        region = _mirror_hull(dev.box, lam, e)
         disk = np.zeros(2)
 
         def correction(pts):
@@ -160,7 +160,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         return MeasureEstimate(value=base + area * mean, error=area * bar + err_geom,
                                method="monte-carlo", n_samples=n)
 
-    box = _hull_box(d.bbox, reflected_box(d.bbox, lam, e))
+    box = _mirror_hull(d.bbox, lam, e)
     axis = int(np.argmax(np.abs(e)))
     if abs(abs(float(e[axis])) - 1.0) < 1e-14:
         # Axis-aligned plane: clip the sampling box to the band itself.
@@ -196,8 +196,8 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
 
     n_shells = 13
     per = max(16, n // n_shells)
-    total, var_sum, used = 0.0, 0.0, 0
-    rng = np.random.default_rng(seed + _AUX_SEED_OFFSET)
+    unit_square = np.array([[0.0, 0.0], [1.0, 1.0]])
+    total, bar_sq = 0.0, 0.0
 
     def weighted(t, theta):
         r = 1.0 + t
@@ -210,8 +210,6 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     for k in range(n_shells):
         t_hi = h * 2.0 ** (-k)
         t_lo = 0.0 if k == n_shells - 1 else h * 2.0 ** (-k - 1)
-        u = halton_points(per, 2, seed + k)
-        uv = rng.random((min(per, 4096), 2))
 
         def shell_vals(uu):
             theta = -0.5 * math.pi + math.pi * uu[:, 1]
@@ -224,9 +222,8 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
                 jac = t_hi - t_lo
             return weighted(tt, theta) * jac * math.pi
 
-        vals = shell_vals(u)
-        total += float(np.mean(vals))
-        var_sum += float(np.var(shell_vals(uv))) / per
-        used += per
-    return MeasureEstimate(value=total, error=3.0 * math.sqrt(var_sum),
-                           method="monte-carlo", n_samples=used)
+        mean, bar = _mean_3sigma(shell_vals, unit_square, per, seed + k)
+        total += mean
+        bar_sq += bar * bar
+    return MeasureEstimate(value=total, error=math.sqrt(bar_sq), method="monte-carlo",
+                           n_samples=n_shells * per)

@@ -53,15 +53,6 @@ def reflect(x, mu: float, e) -> np.ndarray:
     return x - 2.0 * side[..., None] * e
 
 
-def reflected_box(box: np.ndarray, lam: float, e) -> np.ndarray:
-    """Bounding box of the mirror image of ``box`` (a ``(2, n)`` array of
-    lower and upper corners) across the plane {x.e = lam}."""
-    n = box.shape[1]
-    corners = box[np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n), np.arange(n)]
-    refl = reflect(corners, lam, e)
-    return np.stack([refl.min(axis=0), refl.max(axis=0)])
-
-
 def support_value(d: ImplicitDomain, e) -> float:
     """sup of x.e over the domain (exact when the domain knows it)."""
     e = _unit(e)
@@ -153,7 +144,8 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     pass finds no violation at all, a refined scan over the same offsets
     decides.  The topmost violated offset and the one above it (or Lambda)
     bracket the critical value, which refined bisection then pins to
-    ``tol``, or to float spacing when ``tol`` is finer.  The witness is the
+    ``tol``.  A ``tol`` finer than the float spacing of Lambda is raised to
+    that spacing, and the result reports the raised value.  The witness is the
     worst reflected point just below the critical offset; a witness within
     10 tol of the plane is tagged as the orthogonal-crossing case,
     otherwise as interior tangency.  A reflection-symmetric domain in its
@@ -167,6 +159,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     if not d.boundary_param:
         raise ProjectionError("critical plane scan needs a boundary parametrization")
     lam_top = support_value(d, e)
+    tol = max(tol, float(np.spacing(abs(lam_top))))
     lam_bot = -support_value(d, -e)
     grids = _chart_grids(d, seed)
 

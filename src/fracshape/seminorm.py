@@ -166,16 +166,16 @@ def _pair_sup(values, chart: Chart, budget: OptimBudget):
     return best, pair, converged
 
 
-def lipschitz_seminorm(field, chart: Chart,
+def lipschitz_seminorm(values, chart: Chart,
                        budget: Optional[OptimBudget] = None) -> SeminormResult:
     """Lower bound on sup |f(x)-f(y)|/|x-y| over the parametrized curve.
 
-    ``field`` is either a callable on points or anything with a vectorized
-    ``eval`` attribute.  The achieving pair is reported in ambient
-    coordinates.  With no closed form to check against, ``converged`` only
-    says that the last polish round stopped raising the sup.
+    ``values`` is f as a vectorized callable on points (for a
+    ``ScalarField``, pass its ``eval``).  The achieving pair is reported in
+    ambient coordinates.  With no closed form to check against,
+    ``converged`` only says that the last polish round stopped raising the
+    sup.
     """
-    values = field.eval if hasattr(field, "eval") else field
     value, (t, tt), converged = _pair_sup(values, chart, budget or OptimBudget())
     pair = np.stack([np.asarray(chart.fn(t), dtype=float),
                      np.asarray(chart.fn(tt), dtype=float)])

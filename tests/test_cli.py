@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracshape import cli
 from fracshape.cli import main
@@ -199,3 +203,35 @@ class TestArtifacts:
         lines = Path(csv_art).read_text().splitlines()
         assert lines[0].startswith("eps,")
         assert len(lines) == 3  # header + one row per grid value
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_DOMAINS = st.one_of(
+    _floats(0.0, 4.0, exclude_min=True).map(lambda r: f"ball:{r!r}"),
+    _floats(0.0, 0.25, exclude_min=True, exclude_max=True).map(
+        lambda e: f"ellipsoid:{e!r}"),
+    st.tuples(_floats(0.0, 0.05, exclude_min=True),
+              _floats(1.0, 8.0, exclude_min=True)).map(
+        lambda ea: f"bump:{ea[0]!r}:{ea[1]!r}"),
+)
+
+
+class TestBoundaryIntegralInputs:
+
+    @settings(max_examples=20, deadline=None)
+    @given(domain=_DOMAINS,
+           s=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           n=st.integers(100, 400))
+    def test_accepted_input_gives_a_finite_estimate_or_exits_two(self, domain, s, n):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["boundary-integral", "--domain", domain, "--s", repr(s),
+                         "--n", str(n)])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            res = json.loads(out.getvalue())["results"]
+            assert math.isfinite(res["value"])
+            assert math.isfinite(res["error"]) and res["error"] >= 0.0

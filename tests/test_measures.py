@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from fracshape.domains import ball, bump_domain, ellipsoid
+from fracshape import measures
+from fracshape.domains import ball, boundary_distance, bump_domain, ellipsoid
 from fracshape.measures import (MeasureEstimate, MeasureParameterError,
                                 boundary_weighted_integral, halton_points,
                                 mc_volume, slab_measure, sym_diff_measure)
@@ -36,6 +37,23 @@ class TestMcVolume:
         big = halton_points(2000, 2, seed=3)
         small = halton_points(1000, 2, seed=3)
         assert np.array_equal(big[:1000], small)
+
+    def test_one_pass_gives_mean_and_bar(self):
+        d = ball((0.0, 0.0), 1.0)
+        seen = []
+
+        def pred(pts):
+            seen.append(pts.copy())
+            return d.contains(pts)
+
+        n = 5000
+        est = mc_volume(pred, d.bbox, n, seed=3)
+        assert len(seen) == 1 and seen[0].shape == (n, 2)
+        vals = d.contains(seen[0]).astype(float)
+        vol = float(np.prod(d.bbox[1] - d.bbox[0]))
+        assert est.value == vol * float(np.mean(vals))
+        assert est.error == pytest.approx(3.0 * vol * math.sqrt(np.var(vals) / n),
+                                          rel=1e-14)
 
     def test_seed_determinism(self):
         d = ball((0.0, 0.0), 1.0)
@@ -120,6 +138,18 @@ class TestBoundaryWeightedIntegral:
         lo = boundary_weighted_integral(ball((0.0, 0.0), 1.04), 0.5, 50_000, seed=1)
         hi = boundary_weighted_integral(ball((0.0, 0.0), 1.08), 0.5, 50_000, seed=1)
         assert hi.value > lo.value
+
+    def test_distance_search_sees_each_point_once(self, monkeypatch):
+        seen = []
+
+        def counting(d, pts):
+            seen.append(len(pts))
+            return boundary_distance(d, pts)
+
+        monkeypatch.setattr(measures, "boundary_distance", counting)
+        est = boundary_weighted_integral(bump_domain(1e-2, 2.0), 0.5, 1300, seed=0)
+        assert len(seen) == 13
+        assert sum(seen) == est.n_samples == 1300
 
     def test_exponent_validation(self):
         d = ball((0.0, 0.0), 1.1)

@@ -125,6 +125,14 @@ class TestCriticalPlane:
         assert fine.lam == pytest.approx(coarse.lam, abs=1e-8)
         assert fine.case_tag != TAG_UNRESOLVED
 
+    def test_tol_below_float_spacing_is_raised_to_it(self):
+        # the reported tol is the resolution reached, and the witness offset
+        # lam - tol really lies below lam
+        res = critical_lambda(bump_domain(1e-3, 2.0), np.array([1.0, 0.0]), tol=1e-300)
+        assert res.tol == np.spacing(abs(res.Lambda))
+        assert res.lam - res.tol < res.lam
+        assert res.case_tag != TAG_UNRESOLVED
+
     @pytest.mark.parametrize("make, e, tol", [
         (lambda: ball((0.0, 0.0), 1.0), (1.0, 0.0), 1e-6),
         (lambda: ellipsoid(P, 0.1), (1.0, 1.0), 1e-6),
