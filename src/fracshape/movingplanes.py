@@ -91,7 +91,9 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     one golden-section call, and keeps the better of node and polish, so
     it never lowers the excess (points pushed off the cap are penalized by
     their distance to the plane, which keeps the refined max on the cap
-    side).
+    side).  A raw excess above the violation threshold is therefore a
+    refined one too, so ``critical_lambda`` refines a verdict only at an
+    offset where the raw pass is clean.
     """
     found = []
     for ch, t, pts, spacing in grids:
@@ -109,11 +111,14 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     vals, pts = list(vals), list(pts)
     if refine:
         def gain(tt):
-            # q.e chart by chart: a many-row product can round an oblique e
-            # differently from the one-row product of a lone bracket
-            q = [np.asarray(ch.fn(tt[k:k + 1]), dtype=float) for k, ch in enumerate(charts)]
-            s_ = np.concatenate([qk @ e for qk in q]) - mu
-            r = np.concatenate(q) - 2.0 * s_[:, None] * e
+            # tt holds one parameter per chart on its last axis, both golden
+            # probes on a leading one.  q.e chart by chart and probe by probe:
+            # a many-row product can round an oblique e differently from the
+            # one-row product of a lone bracket
+            q = [np.asarray(ch.fn(tt[..., k:k + 1]), dtype=float)
+                 for k, ch in enumerate(charts)]
+            s_ = np.concatenate([qk @ e for qk in q], axis=-1) - mu
+            r = np.concatenate(q, axis=-2) - 2.0 * s_[..., None] * e
             return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float), -np.abs(s_))
 
         t_ref, v_ref = polish(gain, np.array([ch.lo for ch in charts]),
@@ -143,13 +148,16 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     missed only if a refined-clean offset separates them.  When the raw
     pass finds no violation at all, a refined scan over the same offsets
     decides.  The topmost violated offset and the one above it (or Lambda)
-    bracket the critical value, which refined bisection then pins to
-    ``tol``.  A ``tol`` finer than the float spacing of Lambda is raised to
-    that spacing, and the result reports the raised value.  The witness is the
-    worst reflected point just below the critical offset; a witness within
-    10 tol of the plane is tagged as the orthogonal-crossing case,
-    otherwise as interior tangency.  A reflection-symmetric domain in its
-    symmetry direction stops at its centre plane up to tol and sampling
+    bracket the critical value, which bisection then pins to ``tol``.  Each
+    midpoint gets the raw pass first and a refined call only when that pass
+    is clean (a raw violation is a refined one), so every verdict is the
+    refined one and is polished only where the raw pass is clean.  A
+    ``tol`` finer than the float spacing of Lambda is raised to that
+    spacing, and the result reports the raised value.  The witness is the
+    worst reflected point (refined) just below the critical offset; a
+    witness within 10 tol of the plane is tagged as the orthogonal-crossing
+    case, otherwise as interior tangency.  A reflection-symmetric domain in
+    its symmetry direction stops at its centre plane up to tol and sampling
     residue (lambda = -3e-7 for the unit disk at tol 1e-6), tagged like any
     contact: the reflected cap pokes out once the plane passes the centre.
     The result is ``unresolved`` only when no violation shows all the way
@@ -189,7 +197,8 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
         mid = 0.5 * (lo_mu + hi_mu)
         if not lo_mu < mid < hi_mu:  # the gap is down to float spacing
             break
-        if violated(mid):
+        # a raw violation is a refined one: polish only a raw-clean midpoint
+        if violated(mid, refine=False) or violated(mid):
             lo_mu = mid
         else:
             hi_mu = mid

@@ -12,8 +12,11 @@ def golden_max(fn, lo, hi):
     """Golden-section maximization (70 steps), vectorized over independent
     brackets.
 
-    ``fn`` must map a float array of bracket points to an equally shaped
-    array of values.  Returns ``(argmax, max)`` arrays (scalars collapse).
+    Each step evaluates its two probes in one call: ``fn`` gets them as one
+    ``(2, *shape)`` float array, ``shape`` that of the brackets (``(1,)`` for
+    a scalar bracket), and must return an equally shaped array of values, so
+    it must broadcast over that leading axis.  The final call gets the
+    midpoints alone.  Returns ``(argmax, max)`` arrays (scalars collapse).
     Unimodality inside each bracket is the caller's responsibility; on
     multimodal slices this still returns a local maximum.
     """
@@ -25,7 +28,8 @@ def golden_max(fn, lo, hi):
     for _ in range(70):
         c = lo + _INVPHI2 * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
-        keep_left = np.asarray(fn(c)) >= np.asarray(fn(d))
+        v = np.asarray(fn(np.stack([c, d])))
+        keep_left = v[0] >= v[1]
         hi = np.where(keep_left, d, hi)
         lo = np.where(keep_left, lo, c)
     mid = 0.5 * (lo + hi)

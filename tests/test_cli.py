@@ -235,3 +235,23 @@ class TestBoundaryIntegralInputs:
             res = json.loads(out.getvalue())["results"]
             assert math.isfinite(res["value"])
             assert math.isfinite(res["error"]) and res["error"] >= 0.0
+
+
+class TestCriticalPlaneInputs:
+
+    @settings(max_examples=10, deadline=None)
+    @given(domain=st.one_of(_DOMAINS, _floats(0.0, 0.05, exclude_min=True).map(
+               lambda eps: f"bump:{eps!r}")),
+           e=st.tuples(_floats(-2.0, 2.0), _floats(-2.0, 2.0)).filter(lambda v: v != (0.0, 0.0)),
+           tol=_floats(1e-10, 1e-3))
+    def test_accepted_input_gives_a_plane_or_exits_two_or_three(self, domain, e, tol):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["critical-plane", "--domain", domain, "--e", f"{e[0]!r},{e[1]!r}",
+                         "--tol", repr(tol)])
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 0:
+            plane = json.loads(out.getvalue())["results"]["plane"]
+            assert math.isfinite(plane["lambda"]) and plane["lambda"] <= plane["Lambda"]
+            assert plane["case"] in ("internal-tangency", "boundary-orthogonality", "unresolved")
+            assert math.isfinite(plane["tol"]) and plane["tol"] >= tol

@@ -177,7 +177,25 @@ class TestCriticalPlane:
 
         monkeypatch.setattr("fracshape.movingplanes.violation", counted)
         critical_lambda(bump_domain(1e-3, 2.0), np.array([1.0, 0.0]), tol=1e-8)
-        assert sum(refined) <= 30
+        assert sum(refined) <= 12
+
+    @pytest.mark.parametrize("make, e", [
+        (lambda: bump_domain(1e-3, 2.0), (1.0, 0.0)),
+        (lambda: bump_domain(1e-2, 2.0), (0.0, 1.0)),
+        (lambda: ellipsoid(P, 0.1), (1.0, 1.0)),
+    ], ids=["bump-1e-3", "bump-1e-2-e01", "ellipsoid-0.1-e11"])
+    def test_refined_excess_never_below_raw(self, make, e):
+        # the premise of polishing only raw-clean midpoints: at every scan
+        # offset a raw violation is also a refined one
+        d = make()
+        e = np.asarray(e) / np.linalg.norm(e)
+        lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
+        grids = _chart_grids(d, 0)
+        step = abs(lam_top) / 200.0
+        mu = lam_top - step
+        while mu > lam_bot - 0.5 * step:
+            assert violation(d, grids, mu, e)[0] >= violation(d, grids, mu, e, refine=False)[0]
+            mu -= step
 
     def test_shifted_ball_finds_its_center(self):
         res = critical_lambda(ball((0.3, -0.2), 0.8), np.array([1.0, 0.0]), tol=1e-7)
