@@ -239,6 +239,9 @@ def _cmd_constants(cfg):
     return _emit(cfg, {"n": n, "s": s, "gamma_ns": gamma_ns(p), "c_ns": p.c_ns})
 
 
+_TORSION_DRAW = 65536  # Halton points torsion-check may draw
+
+
 def _cmd_torsion_check(cfg):
     s = _as_s(cfg.params["s"])
     k = _as_int(cfg.params["points"], "points")
@@ -253,12 +256,17 @@ def _cmd_torsion_check(cfg):
         f = torsion_ellipsoid(p, args[0])
     else:
         raise CliError("torsion-check supports ball and ellipsoid:EPS domains")
+    # the first k admissible points of the seed's 65,536-point stream; the
+    # stream is filtered in growing pieces, since prefixes agree and the
+    # filter is pointwise, and stops at the piece that completes the k
     lo, hi = dom.bbox
-    u = halton_points(65536, 2, cfg.seed)
-    pts = lo + (hi - lo) * u
-    keep = dom.contains(pts)
-    pts = pts[keep]
-    pts = pts[boundary_distance(dom, pts) >= min_dist][:k]
+    pts, drawn = np.empty((0, 2)), 0
+    while len(pts) < k and drawn < _TORSION_DRAW:
+        start, drawn = drawn, min(max(4 * drawn, 256), _TORSION_DRAW)
+        cand = lo + (hi - lo) * halton_points(drawn, 2, cfg.seed)[start:]
+        cand = cand[dom.contains(cand)]
+        pts = np.concatenate([pts, cand[boundary_distance(dom, cand) >= min_dist]])
+    pts = pts[:k]
     if len(pts) < k:
         raise CliError(f"could not place {k} interior points at distance {min_dist}")
     rows, worst = [], 0.0

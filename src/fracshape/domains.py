@@ -141,12 +141,43 @@ def _ellipse_axis_distance(p1, a, b):
     return np.where(inner, d_inner, np.abs(p1 - a))
 
 
+def _foot_solve(q1, q2, a, b, t_lo, t_hi, shift1, shift2):
+    """Bisect the normal-foot equation (a q1 / (t + shift1))^2
+    + (b q2 / (t + shift2))^2 = 1 on ``[t_lo, t_hi]``, where the left side
+    falls monotonically in t.  Returns the feet and the residual,
+    ``(f1, f2, res)``.
+
+    At most 90 steps; it stops early at the bracket's fixed point, since a
+    step that moves no end leaves every later step the same.
+    """
+    aq1, bq2 = a * q1, b * q2
+    with np.errstate(over="ignore", divide="ignore"):
+        for _ in range(90):
+            mid = 0.5 * (t_lo + t_hi)
+            u = aq1 / (mid + shift1)
+            v = bq2 / (mid + shift2)
+            pos = u * u + v * v - 1.0 > 0.0
+            if (mid == np.where(pos, t_lo, t_hi)).all():
+                break  # the end that would move to mid is mid already
+            t_lo = np.where(pos, mid, t_lo)
+            t_hi = np.where(pos, t_hi, mid)
+        t = 0.5 * (t_lo + t_hi)
+        u = aq1 / (t + shift1)
+        v = bq2 / (t + shift2)
+        res = np.abs(u * u + v * v - 1.0)
+    return a * a * q1 / (t + shift1), b * b * q2 / (t + shift2), res
+
+
 def _ellipse_distance(p1, p2, a, b):
     """Unsigned distance from (p1, p2) to the ellipse x^2/a^2 + y^2/b^2 = 1.
 
-    Solves the normal-foot equation for the Lagrange parameter t by 90
-    bisection steps (monotone, bracket guaranteed), vectorized over points.
-    The axis p2 == 0 case has closed-form feet and is handled separately.
+    Solves the normal-foot equation for the Lagrange parameter t by
+    bisection (monotone, bracket guaranteed; at most 90 steps, stopping
+    once the bracket no longer moves), vectorized over points.  Near the
+    centre the root sits within O(p2) of -b^2, finer than the float spacing
+    of t there, so points that miss the residual are solved again in
+    s = t + b^2.  The axis p2 == 0 case has closed-form feet and is handled
+    separately.
     """
     p1 = np.abs(np.asarray(p1, dtype=float))
     p2 = np.abs(np.asarray(p2, dtype=float))
@@ -161,23 +192,14 @@ def _ellipse_distance(p1, p2, a, b):
     b2 = b * b
     t_lo = np.full_like(q1, -b2 * (1.0 - 1e-12) if b2 > 0 else 0.0)
     t_hi = math.sqrt(2.0) * (a * q1 + b * q2) + 1.0
-
-    def foot_gap(t):
-        with np.errstate(over="ignore", divide="ignore"):
-            u = a * q1 / (t + a * a)
-            v = b * q2 / (t + b2)
-            return u * u + v * v - 1.0
-
-    for _ in range(90):
-        mid = 0.5 * (t_lo + t_hi)
-        pos = foot_gap(mid) > 0.0
-        t_lo = np.where(pos, mid, t_lo)
-        t_hi = np.where(pos, t_hi, mid)
-    t = 0.5 * (t_lo + t_hi)
-    f1 = a * a * q1 / (t + a * a)
-    f2 = b2 * q2 / (t + b2)
+    f1, f2, res = _foot_solve(q1, q2, a, b, t_lo, t_hi, a * a, b2)
+    redo = off_axis & (res > 1e-10)
+    if np.any(redo):
+        r1, r2 = q1[redo], q2[redo]
+        s_hi = t_hi[redo] + b2
+        f1[redo], f2[redo], res[redo] = _foot_solve(
+            r1, r2, a, b, np.full_like(r1, b2 * 1e-12), s_hi, a * a - b2, 0.0)
     d_off = np.hypot(q1 - f1, q2 - f2)
-    res = np.abs(foot_gap(t))
     if np.any(off_axis) and float(np.max(np.where(off_axis, res, 0.0))) > 1e-10:
         raise ProjectionError(
             f"ellipse projection residual {float(np.max(res)):.3e} above 1e-10")
@@ -388,8 +410,7 @@ def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
     chart gets its own KD-tree: charts may overlap (the bump's dense support
     chart lies on its graph chart) and a node's parameter is chart-local."""
     # imported here, not at the top: scipy.spatial is most of the time of
-    # ``import fracshape``, and only this search uses it (the first
-    # ``halton_points`` draw loads it anyway, through scipy.stats)
+    # ``import fracshape``, and only this search uses it
     from scipy.spatial import cKDTree
 
     pts = np.asarray(pts, dtype=float)

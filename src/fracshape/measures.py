@@ -35,18 +35,60 @@ class MeasureEstimate:
     n_samples: int
 
 
+def _primes(k: int) -> list:
+    out, c = [], 2
+    while len(out) < k:
+        if all(c % p for p in out if p * p <= c):
+            out.append(c)
+        c += 1
+    return out
+
+
 def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
     """First ``n`` scrambled Halton points in [0,1)^dim for this seed.
 
+    Owen's randomized Halton (A. B. Owen, "A randomized Halton algorithm
+    in R", arXiv:1706.02808, 2017): coordinate i is the radical inverse in
+    the i-th prime base b, each digit j mapped through its own random
+    permutation of 0..b-1, for every j with 1 - b^-(j+1) < 1.  The
+    permutations are shuffles of ``arange(b)`` by one
+    ``np.random.default_rng(seed)``, base by base and digit by digit, and
+    the digit terms are summed in digit order, so the points are SciPy's
+    scrambled Halton points for this seed, bit for bit.
+
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
-    # imported here, not at the top: scipy.stats is over half the time of
-    # ``import fracshape``, and commands such as ``constants`` and
-    # ``critical-plane`` never draw a point
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
-    return sampler.random(n)
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n, dtype=np.int64)
+    out = np.empty((n, dim))
+    for col, b in enumerate(_primes(dim)):
+        perms = []
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            perm = np.arange(b)
+            rng.shuffle(perm)
+            perms.append(perm)
+        if b == 2:
+            # every term is a dyadic perm[j][digit] 2^-(j+1) with j < 53, so
+            # the sum is exact in any order: the integer 2^53 x, whose bit
+            # 52 - j is digit j of the index flipped by perm[j][0]
+            flips = sum(int(p[0]) << (52 - j) for j, p in enumerate(perms))
+            rev = np.zeros(n, dtype=np.int64)
+            for j in range(max(n - 1, 0).bit_length()):
+                rev |= ((idx >> j) & 1) << (52 - j)
+            out[:, col] = (rev ^ flips) * 2.0 ** -53
+            continue
+        acc = np.zeros(n)
+        q = idx.copy()
+        b2r = 1.0 / b
+        for perm in perms:
+            if q.any():
+                acc += (perm * b2r)[q % b]
+                q //= b
+            else:  # every digit from here on is 0
+                acc += perm[0] * b2r
+            b2r /= b
+        out[:, col] = acc
+    return out
 
 
 def _box_volume(box: np.ndarray) -> float:

@@ -2,15 +2,21 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracshape import cli
 from fracshape.cli import main
-from fracshape.domains import ProjectionError
+from fracshape.domains import ProjectionError, boundary_distance, ellipsoid
+from fracshape.frlap import FrlapResult
+from fracshape.measures import halton_points
 from fracshape.specfun import FracParams, gamma_ns
 
 
@@ -152,6 +158,65 @@ class TestCriticalPlane:
                            "--tol", "1e-5")
         assert summary["params"]["domain"] == "bump:1e-3"
         assert summary["params"]["tol"] == "1e-5"
+
+
+class TestTorsionCheckDraw:
+
+    ARGS = ("torsion-check", "--domain", "ellipsoid:0.1", "--min-dist", "0.3")
+
+    def test_selects_the_first_admissible_points_of_the_full_stream(
+            self, capsys, monkeypatch, tmp_path):
+        dom = ellipsoid(FracParams(2, 0.5), 0.1)
+        lo, hi = dom.bbox
+        full = lo + (hi - lo) * halton_points(65536, 2, 0)
+        full = full[dom.contains(full)]
+        want = full[boundary_distance(dom, full) >= 0.3][:2000]
+
+        drawn, seen = [], []
+
+        def counting_draw(n, dim, seed):
+            drawn.append(n)
+            return halton_points(n, dim, seed)
+
+        def record(f, x):
+            seen.append(np.array(x))
+            return FrlapResult(value=1.0, error=0.0, converged=True)
+
+        monkeypatch.setattr(cli, "halton_points", counting_draw)
+        monkeypatch.setattr(cli, "frlap_eval", record)
+        code, _, err = run(capsys, *self.ARGS, "--points", "2000", "--out", str(tmp_path))
+        assert code == 0, err
+        assert np.array(seen).tobytes() == want.tobytes()
+        assert len(drawn) > 2 and max(drawn) < 65536
+
+    def test_too_many_points_still_fail_at_the_full_stream(self, capsys, tmp_path):
+        code, out, err = run(capsys, *self.ARGS, "--points", "40000", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "could not place 40000 interior points at distance 0.3",
+            "command": "torsion-check"}
+
+
+class TestImportGuard:
+
+    def test_sampling_commands_never_import_scipy_stats(self, tmp_path):
+        # scipy.stats costs more at a cold start than all of fracshape
+        script = f"""
+import contextlib, io, sys
+from fracshape.cli import main
+runs = [["slab-measure", "--domain", "bump:1e-2", "--n", "1000"],
+        ["torsion-check", "--domain", "ellipsoid:0.1", "--points", "5"],
+        ["stability-probe", "--eps", "0.02", "--n-pairs", "1000"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in runs]
+print(codes, "scipy.stats" in sys.modules)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0, 0, 0] False"
 
 
 class TestResultShapes:

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape.domains import (DomainParameterError, ball, boundary_distance,
+from fracshape.domains import (DomainParameterError, _ellipse_axis_distance,
+                               _ellipse_distance, ball, boundary_distance,
                                boundary_samples, bump_domain, bump_profile,
                                ellipsoid, erode, odd_cutoff, radial_extremes,
                                shape_metrics, signed_distance)
@@ -23,6 +24,56 @@ ELLIPSE_DIST_REF = [
     ((-1.0, -0.9), 0.29263158243848203),
     ((1.05, 0.0), -0.050000000000000044),
 ]
+
+
+def _ninety_step_distance(p1, p2, a, b):
+    """The ellipse distance by exactly 90 bisection steps in t, and the
+    residual of each foot: the solve without an early stop."""
+    p1, p2 = np.abs(p1), np.abs(p2)
+    off_axis = p2 > 1e-12
+    q1 = np.where(off_axis, p1, 0.0)
+    q2 = np.where(off_axis, p2, 1.0)
+    b2 = b * b
+    t_lo = np.full_like(q1, -b2 * (1.0 - 1e-12))
+    t_hi = math.sqrt(2.0) * (a * q1 + b * q2) + 1.0
+
+    def gap(t):
+        with np.errstate(over="ignore", divide="ignore"):
+            u = a * q1 / (t + a * a)
+            v = b * q2 / (t + b2)
+            return u * u + v * v - 1.0
+
+    for _ in range(90):
+        mid = 0.5 * (t_lo + t_hi)
+        pos = gap(mid) > 0.0
+        t_lo = np.where(pos, mid, t_lo)
+        t_hi = np.where(pos, t_hi, mid)
+    t = 0.5 * (t_lo + t_hi)
+    f1 = a * a * q1 / (t + a * a)
+    f2 = b2 * q2 / (t + b2)
+    dist = np.where(off_axis, np.hypot(q1 - f1, q2 - f2), _ellipse_axis_distance(p1, a, b))
+    return dist, np.where(off_axis, np.abs(gap(t)), 0.0)
+
+
+def _polar_distance(x, a, b):
+    """Distance from ``x`` to the ellipse by a dense angle grid, refined
+    twice around its best node."""
+    lo, hi = 0.0, 2.0 * math.pi
+    for _ in range(3):
+        theta = np.linspace(lo, hi, 400_001)
+        dist = np.hypot(x[0] - a * np.cos(theta), x[1] - b * np.sin(theta))
+        k = int(np.argmin(dist))
+        lo, hi = theta[max(k - 2, 0)], theta[min(k + 2, theta.size - 1)]
+    return float(dist[k])
+
+
+_NEAR_BOUNDARY = st.tuples(st.floats(0.0, 2.0 * math.pi),
+                           st.floats(-1e-3, 1e-3)).map(
+    lambda td: ("rim", td[0], td[1]))
+_NEAR_AXIS = st.tuples(st.floats(-1.3, 1.3), st.floats(0.0, 2e-12)).map(
+    lambda xy: ("xy", xy[0], xy[1]))
+_ANYWHERE = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+    lambda xy: ("xy", xy[0], xy[1]))
 
 
 class TestBall:
@@ -78,6 +129,36 @@ class TestEllipsoid:
             ellipsoid(P, 0.25)
         with pytest.raises(DomainParameterError):
             ellipsoid(P, -0.01)
+
+    @settings(max_examples=60, deadline=None)
+    @given(eps=st.sampled_from([1e-9, 0.005, 0.01, 0.02, 0.1, 0.2]),
+           pts=st.lists(st.one_of(_NEAR_BOUNDARY, _NEAR_AXIS, _ANYWHERE),
+                        min_size=1, max_size=40))
+    def test_early_stop_keeps_the_ninety_step_bits(self, eps, pts):
+        a = 1.0 + eps
+        xy = np.array([(a * math.cos(u) * (1.0 + v), math.sin(u) * (1.0 + v))
+                       if kind == "rim" else (u, v) for kind, u, v in pts])
+        want, res = _ninety_step_distance(xy[:, 0], xy[:, 1], a, 1.0)
+        got = _ellipse_distance(xy[:, 0], xy[:, 1], a, 1.0)
+        solved = res <= 1e-10
+        assert got[solved].tobytes() == want[solved].tobytes()
+        for k in np.flatnonzero(solved):
+            one = _ellipse_distance(xy[k:k + 1, 0], xy[k:k + 1, 1], a, 1.0)
+            assert one.tobytes() == want[k:k + 1].tobytes()
+        # the 90 steps in t miss the residual near the centre; those points
+        # are solved again in s = t + b^2
+        for k in np.flatnonzero(~solved):
+            assert got[k] == pytest.approx(_polar_distance(xy[k], a, 1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("eps, x", [
+        (0.01, (0.001, 1e-6)),
+        (0.1, (-9.02275566e-4, 8.88625002e-7)),
+    ])
+    def test_distance_near_the_centre(self, eps, x):
+        # the root t sits within O(x2) of -1, below the float spacing of t
+        # there; the solve in s = t + 1 finds the foot
+        got = boundary_distance(ellipsoid(P, eps), np.array(x))
+        assert got == pytest.approx(_polar_distance(x, 1.0 + eps, 1.0), abs=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=0.24), st.floats(min_value=0, max_value=2 * math.pi))
     def test_boundary_distance_vanishes_on_boundary(self, eps, t):

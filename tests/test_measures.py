@@ -34,9 +34,11 @@ class TestMcVolume:
         assert hits >= 47  # 3-sigma bars should cover ~99.7%
 
     def test_prefix_property(self):
-        big = halton_points(2000, 2, seed=3)
-        small = halton_points(1000, 2, seed=3)
-        assert np.array_equal(big[:1000], small)
+        for dim in (1, 2, 3):
+            for n in (1000, 1001):
+                big = halton_points(2 * n + 1, dim, seed=3)
+                small = halton_points(n, dim, seed=3)
+                assert np.array_equal(big[:n], small)
 
     def test_one_pass_gives_mean_and_bar(self):
         d = ball((0.0, 0.0), 1.0)
@@ -60,6 +62,20 @@ class TestMcVolume:
         a = mc_volume(d.contains, d.bbox, 10_000, seed=12)
         b = mc_volume(d.contains, d.bbox, 10_000, seed=12)
         assert a == b
+
+
+class TestHalton:
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_matches_scipy_bit_for_bit(self, seed, dim):
+        from scipy.stats import qmc
+
+        for n in (1, 2, 1000, 4097, 65536):
+            want = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
+            got = halton_points(n, dim, seed)
+            assert got.shape == want.shape == (n, dim)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSymmetricDifference:
