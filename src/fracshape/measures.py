@@ -59,7 +59,6 @@ def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
     rng = np.random.default_rng(seed)
-    idx = np.arange(n, dtype=np.int64)
     out = np.empty((n, dim))
     for col, b in enumerate(_primes(dim)):
         perms = []
@@ -67,18 +66,8 @@ def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
             perm = np.arange(b)
             rng.shuffle(perm)
             perms.append(perm)
-        if b == 2:
-            # every term is a dyadic perm[j][digit] 2^-(j+1) with j < 53, so
-            # the sum is exact in any order: the integer 2^53 x, whose bit
-            # 52 - j is digit j of the index flipped by perm[j][0]
-            flips = sum(int(p[0]) << (52 - j) for j, p in enumerate(perms))
-            rev = np.zeros(n, dtype=np.int64)
-            for j in range(max(n - 1, 0).bit_length()):
-                rev |= ((idx >> j) & 1) << (52 - j)
-            out[:, col] = (rev ^ flips) * 2.0 ** -53
-            continue
         acc = np.zeros(n)
-        q = idx.copy()
+        q = np.arange(n, dtype=np.int64)
         b2r = 1.0 / b
         for perm in perms:
             if q.any():
