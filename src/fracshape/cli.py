@@ -269,12 +269,13 @@ def _cmd_torsion_check(cfg):
     pts = pts[:k]
     if len(pts) < k:
         raise CliError(f"could not place {k} interior points at distance {min_dist}")
+    res = frlap_eval(f, pts)
     rows, worst = [], 0.0
-    for x in pts:
-        r = frlap_eval(f, x)
-        worst = max(worst, abs(r.value - 1.0))
-        rows.append({"x1": float(x[0]), "x2": float(x[1]), "value": r.value,
-                     "error": r.error, "converged": r.converged})
+    for x, value, error, converged in zip(pts.tolist(), res.value.tolist(),
+                                          res.error.tolist(), res.converged.tolist()):
+        worst = max(worst, abs(value - 1.0))
+        rows.append({"x1": x[0], "x2": x[1], "value": value,
+                     "error": error, "converged": converged})
     return _emit(cfg, {"points": len(rows), "max_abs_dev": worst},
                  rows=rows, fieldnames=("x1", "x2", "value", "error", "converged"))
 

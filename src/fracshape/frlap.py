@@ -1,4 +1,4 @@
-"""Closed-form profile fields and pointwise fractional-Laplacian quadrature.
+"""Closed-form profile fields and fractional-Laplacian quadrature at points.
 
 The operator is evaluated through the symmetrized difference
 
@@ -10,6 +10,8 @@ outside, the 2 f(x) tail is analytic and the field part integrates along
 rays, with a Jacobi end-point rule when the field exposes its quadratic
 profile (so the (.)_+^s edge is handled by the weight, not the nodes).
 Quadrature is implemented for n = 2; fields evaluate in any dimension.
+A batch of points is integrated in blocks of ``_BLOCK`` points, with the
+node grids of a block held in one array.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class UnsupportedDimensionError(ValueError):
 _TOL = 0.01  # self-error, relative to max(1, |value|), that counts as converged
 _INNER_RADIUS = 0.05  # smallest admissible distance from a kinked support's boundary
 _SPLIT = 0.5  # inner/outer cutoff as a fraction of that distance
+_BLOCK = 8  # points per vectorised quadrature pass (about 2 MB of node arrays)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,11 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class FrlapResult:
-    value: float
-    error: float
-    converged: bool
+    """Floats and a bool for one point; arrays, one entry per point, for a batch."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
+    converged: bool | np.ndarray
 
 
 def power_field(p: FracParams, Q: np.ndarray, amp: float,
@@ -158,26 +163,27 @@ def _legendre_rule(m: int):
     return roots_legendre(m)
 
 
-def _outer_power(f, x, s, r0, angles, n_nodes):
-    """Per-ray field integral for power-profile fields.
+def _outer_power(f, X, s, r0, angles, n_nodes):
+    """Per-ray field integrals for power-profile fields, one row per point.
 
     Along each direction the profile is amp * (|A|(r*-r)(r-r**))^s with
     quadratic-root crossings r**, r*; Gauss-Jacobi with weight (r*-r)^s
-    integrates the remaining smooth factor.
+    integrates the remaining smooth factor.  The ray coefficients B and C
+    and the node sums are taken point by point.
     """
     Q, amp = f.power_quad
     omega = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     A = -np.einsum("ki,ij,kj->k", omega, Q, omega)
-    B = -2.0 * (omega @ (Q @ x))
-    C = 1.0 - float(x @ (Q @ x))
+    B = np.stack([-2.0 * (omega @ (Q @ x)) for x in X])
+    C = np.array([[1.0 - float(x @ (Q @ x))] for x in X])
     disc = np.sqrt(B * B - 4.0 * A * C)
     r_exit = (-B - disc) / (2.0 * A)
     r_back = (-B + disc) / (2.0 * A)
     u, w = _jacobi_rule(n_nodes, float(s), 0.0)
-    half = 0.5 * (r_exit - r0)
-    r = r0 + half[None, :] * (u[:, None] + 1.0)
-    smooth = amp * (np.abs(A)[None, :] * (r - r_back[None, :])) ** s * r ** (-1.0 - 2.0 * s)
-    return half ** (1.0 + s) * np.einsum("i,ik->k", w, smooth)
+    half = 0.5 * (r_exit - r0[:, None])
+    r = r0[:, None, None] + half[:, None, :] * (u[:, None] + 1.0)
+    smooth = amp * (np.abs(A) * (r - r_back[:, None, :])) ** s * r ** (-1.0 - 2.0 * s)
+    return half ** (1.0 + s) * np.stack([np.einsum("i,ik->k", w, sm) for sm in smooth])
 
 
 def _outer_panels(f, x, s, r0, angles, n_panels):
@@ -201,61 +207,92 @@ def _outer_panels(f, x, s, r0, angles, n_panels):
     return total
 
 
-def _frlap_value(f: ScalarField, x: np.ndarray, r0: float, nr: int, na: int,
-                 n_panels: int) -> float:
+def _frlap_value(f: ScalarField, X: np.ndarray, r0: np.ndarray, nr: int, na: int,
+                 n_panels: int) -> np.ndarray:
+    """Operator values at the points ``X`` (b, 2) with inner radii ``r0`` (b,).
+
+    The field is evaluated on (b, ...) node arrays at once.  f(x) and the
+    powers of r0 are taken point by point as Python floats, since numpy's
+    array pow can differ from the scalar pow in the last ulp, and so are
+    the node sums; each value thus has the bits of a batch of one.
+    """
     s = f.params.s
     c = f.params.c_ns
-    fx = float(f.eval(x))
+    fx = np.array([float(f.eval(x)) for x in X])
 
     # Inner ball: polar, Gauss-Jacobi radius against the r^(1-2s) weight,
     # midpoint angles on [0, pi) (the symmetrized difference is pi-periodic).
     u, w = _jacobi_rule(nr, 0.0, 1.0 - 2.0 * s)
-    r = r0 * (u + 1.0) / 2.0
-    scale = (r0 / 2.0) ** (2.0 - 2.0 * s)
+    r = r0[:, None] * (u + 1.0) / 2.0
     theta = (np.arange(na) + 0.5) * (math.pi / na)
     omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    Z = r[:, None, None] * omega[None, :, :]
-    g = 2.0 * fx - f.eval(x[None, None, :] + Z) - f.eval(x[None, None, :] - Z)
-    inner = 2.0 * (math.pi / na) * scale * float(np.einsum("i,ij->", w, g / r[:, None] ** 2))
+    Z = r[:, :, None, None] * omega
+    Xg = X[:, None, None, :]
+    g = (2.0 * fx)[:, None, None] - f.eval(Xg + Z) - f.eval(Xg - Z)
+    g_r2 = g / r[:, :, None] ** 2
 
     # Outer region: the 2 f(x) tail integrates in closed form; the field
     # part goes ray by ray over the full circle.
-    tail = 2.0 * fx * (2.0 * math.pi * r0 ** (-2.0 * s) / (2.0 * s))
     phi = (np.arange(2 * na) + 0.5) * (math.pi / na)
     if f.power_quad is not None:
-        per_ray = _outer_power(f, x, s, r0, phi, max(16, 4 * n_panels))
+        per_ray = _outer_power(f, X, s, r0, phi, max(16, 4 * n_panels))
     else:
-        per_ray = _outer_panels(f, x, s, r0, phi, n_panels)
-    field_part = (math.pi / na) * float(np.sum(per_ray))
-    outer = tail - 2.0 * field_part
-    return 0.5 * c * (inner + outer)
+        per_ray = [_outer_panels(f, x, s, float(rx), phi, n_panels) for x, rx in zip(X, r0)]
+
+    out = np.empty(len(X))
+    for i in range(len(X)):
+        ri, fi = float(r0[i]), float(fx[i])
+        scale = (ri / 2.0) ** (2.0 - 2.0 * s)
+        inner = 2.0 * (math.pi / na) * scale * float(np.einsum("i,ij->", w, g_r2[i]))
+        tail = 2.0 * fi * (2.0 * math.pi * ri ** (-2.0 * s) / (2.0 * s))
+        field_part = (math.pi / na) * float(np.sum(per_ray[i]))
+        outer = tail - 2.0 * field_part
+        out[i] = 0.5 * c * (inner + outer)
+    return out
 
 
 def frlap_eval(f: ScalarField, x, acc: Optional[QuadratureConfig] = None) -> FrlapResult:
-    """Fractional Laplacian of ``f`` at the point ``x`` (n = 2 only).
+    """Fractional Laplacian of ``f`` at the point ``x`` (2,), or at each row
+    of a batch ``x`` (k, 2) (n = 2 only).
 
     Returns the value together with a self-estimated error (difference
     against a half-resolution rule); ``converged`` says whether that
-    estimate meets ``_TOL`` relative to max(1, |value|).
+    estimate meets ``_TOL`` relative to max(1, |value|).  One point gives
+    floats and a bool, a batch gives arrays of length k, and each point of
+    a batch gets the bits of its own one-point call.  A batch is checked in
+    point order and raises the error of its first point that is outside the
+    support or too close to its boundary.
     """
     acc = acc or QuadratureConfig()
     x = np.asarray(x, dtype=float)
-    if f.params.n != 2 or x.shape != (2,):
+    if f.params.n != 2 or x.ndim not in (1, 2) or x.shape[-1] != 2:
         raise UnsupportedDimensionError("quadrature implemented for n = 2 points only")
+    pts = x.reshape(-1, 2)
     if f.inner_scale is None:
-        if float(f.support.level(x)) >= 0.0:
-            raise EvaluationPointError("evaluation point must be interior to the support")
-        delta = float(boundary_distance(f.support, x))
-        if delta <= _INNER_RADIUS:
+        outside = f.support.level(pts) >= 0.0
+        n_in = int(outside.argmax()) if outside.any() else len(pts)
+        delta = boundary_distance(f.support, pts[:n_in])
+        close = np.flatnonzero(delta <= _INNER_RADIUS)
+        if close.size:
             raise EvaluationPointError(
-                f"point too close to the support boundary (dist {delta:.3g} "
+                f"point too close to the support boundary (dist {float(delta[close[0]]):.3g} "
                 f"<= {_INNER_RADIUS:g})")
+        if n_in < len(pts):
+            raise EvaluationPointError("evaluation point must be interior to the support")
         r0 = _SPLIT * delta
     else:
-        r0 = f.inner_scale
-    value = _frlap_value(f, x, r0, acc.inner_radial, acc.inner_angular, acc.outer_panels)
-    coarse = _frlap_value(f, x, r0, max(8, acc.inner_radial // 2),
-                          max(8, acc.inner_angular // 2), max(3, acc.outer_panels // 2))
-    err = abs(value - coarse)
-    return FrlapResult(value=value, error=err,
-                       converged=err <= _TOL * max(1.0, abs(value)))
+        r0 = np.full(len(pts), f.inner_scale)
+    value, coarse = np.empty(len(pts)), np.empty(len(pts))
+    for i in range(0, len(pts), _BLOCK):
+        blk = slice(i, i + _BLOCK)
+        value[blk] = _frlap_value(f, pts[blk], r0[blk], acc.inner_radial,
+                                  acc.inner_angular, acc.outer_panels)
+        coarse[blk] = _frlap_value(f, pts[blk], r0[blk], max(8, acc.inner_radial // 2),
+                                   max(8, acc.inner_angular // 2), max(3, acc.outer_panels // 2))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, silently, as in float arithmetic
+        err = np.abs(value - coarse)
+    converged = err <= _TOL * np.maximum(1.0, np.abs(value))
+    if x.ndim == 1:
+        return FrlapResult(value=float(value[0]), error=float(err[0]),
+                           converged=bool(converged[0]))
+    return FrlapResult(value=value, error=err, converged=converged)

@@ -52,11 +52,9 @@ class SeminormResult:
 @dataclass(frozen=True)
 class EllipsoidChart:
     """Offset-curve parametrization of the half boundary of the eroded
-    stretched ball, together with its profile coefficients."""
+    stretched ball."""
 
     eps: float
-    a_eps: Callable[[np.ndarray], np.ndarray]
-    b_eps: Callable[[np.ndarray], np.ndarray]
     phi_eps: Callable[[np.ndarray], np.ndarray]
 
 
@@ -105,9 +103,7 @@ def ellipsoid_chart(eps: float) -> EllipsoidChart:
         a, b, _ = _offset_coefficients(e, np.abs(r))
         return np.stack([a * np.sqrt(np.maximum(0.0, 1.0 - r * r)), b * r], axis=-1)
 
-    return EllipsoidChart(eps=e, a_eps=lambda tau: _offset_coefficients(e, tau)[0],
-                          b_eps=lambda tau: _offset_coefficients(e, tau)[1],
-                          phi_eps=phi_eps)
+    return EllipsoidChart(eps=e, phi_eps=phi_eps)
 
 
 def _pair_sup(values, chart: Chart, budget: OptimBudget):

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -180,13 +182,14 @@ class TestTorsionCheckDraw:
 
         def record(f, x):
             seen.append(np.array(x))
-            return FrlapResult(value=1.0, error=0.0, converged=True)
+            return FrlapResult(value=np.ones(len(x)), error=np.zeros(len(x)),
+                               converged=np.ones(len(x), dtype=bool))
 
         monkeypatch.setattr(cli, "halton_points", counting_draw)
         monkeypatch.setattr(cli, "frlap_eval", record)
         code, _, err = run(capsys, *self.ARGS, "--points", "2000", "--out", str(tmp_path))
         assert code == 0, err
-        assert np.array(seen).tobytes() == want.tobytes()
+        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
         assert len(drawn) > 2 and max(drawn) < 65536
 
     def test_too_many_points_still_fail_at_the_full_stream(self, capsys, tmp_path):
@@ -320,3 +323,61 @@ class TestCriticalPlaneInputs:
             assert math.isfinite(plane["lambda"]) and plane["lambda"] <= plane["Lambda"]
             assert plane["case"] in ("internal-tangency", "boundary-orthogonality", "unresolved")
             assert math.isfinite(plane["tol"]) and plane["tol"] >= tol
+
+
+_BUDGET_S = 60.0  # wall time an accepted input may take
+
+
+def _run_timed(argv):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < _BUDGET_S, f"{argv} took {elapsed:.1f}s"
+    if code != 0:
+        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+        return code, None
+    return code, json.loads(out.getvalue())["results"]
+
+
+class TestTorsionCheckInputs:
+
+    @settings(max_examples=10, deadline=None)
+    @given(domain=st.one_of(st.just("ball"), _floats(0.0, 0.25, exclude_max=True).map(
+               lambda e: f"ellipsoid:{e!r}")),
+           s=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           points=st.integers(1, 300),
+           min_dist=_floats(0.0, 0.5, exclude_min=True))
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(
+            self, domain, s, points, min_dist):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, res = _run_timed(["torsion-check", "--domain", domain, "--s", repr(s),
+                                    "--points", str(points), "--min-dist", repr(min_dist),
+                                    "--out", tmp])
+            if code == 0:
+                assert res["points"] == points
+                (csv_art,) = Path(tmp).glob("*.csv")
+                assert len(csv_art.read_text().splitlines()) == points + 1
+
+
+class TestSlabMeasureInputs:
+
+    @settings(max_examples=10, deadline=None)
+    @given(domain=st.one_of(_DOMAINS, _floats(0.0, 0.05, exclude_min=True).map(
+               lambda eps: f"bump:{eps!r}")),
+           e=st.tuples(_floats(-2.0, 2.0), _floats(-2.0, 2.0)).filter(lambda v: v != (0.0, 0.0)),
+           gamma=_floats(0.0, 0.25, exclude_min=True),
+           tol=_floats(1e-10, 1e-3),
+           n=st.integers(100, 2000))
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(
+            self, domain, e, gamma, tol, n):
+        code, res = _run_timed(["slab-measure", "--domain", domain, "--e", f"{e[0]!r},{e[1]!r}",
+                                "--gamma", repr(gamma), "--tol", repr(tol), "--n", str(n)])
+        if code == 0:
+            assert math.isfinite(res["slab"]["value"]) and res["slab"]["value"] >= 0.0
+            assert math.isfinite(res["slab"]["error"]) and res["slab"]["error"] >= 0.0
+            assert math.isfinite(res["plane"]["lambda"])
+            assert res["plane"]["lambda"] <= res["plane"]["Lambda"]

@@ -1,11 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape.domains import ball
+from fracshape import frlap
+from fracshape.domains import ball, boundary_distance
 from fracshape.frlap import (EvaluationPointError, QuadratureConfig,
                              UnsupportedDimensionError, barrier, frlap_eval,
                              power_field, torsion_ball, torsion_ellipsoid)
@@ -132,3 +134,110 @@ def test_torsion_identity_property(s, x1, x2):
         x2 *= 0.5
     r = frlap_eval(torsion_ball(FracParams(2, s)), np.array([x1, x2]))
     assert r.value == pytest.approx(1.0, abs=1e-4)
+
+
+def _batch_field(name, s, eps):
+    p = FracParams(2, s)
+    if name == "ball":
+        return torsion_ball(p)
+    if name == "ellipsoid":
+        return torsion_ellipsoid(p, eps)
+    return barrier(p, a=(0.125, 0.0), rho=1.0 / 16.0)
+
+
+_BATCH_FIELDS = st.sampled_from(
+    [("ball", s, None) for s in (0.25, 0.5, 0.75)]
+    + [("ellipsoid", s, eps) for s in (0.25, 0.5, 0.75) for eps in (0.02, 1e-9)]
+    + [("barrier", s, None) for s in (0.25, 0.75)])
+
+
+def _reference_value(f, x, r0, nr, na, n_panels):
+    """The quadrature for one point, written without a point axis: the
+    reference whose bits the batched blocks must keep."""
+    s, c = f.params.s, f.params.c_ns
+    fx = float(f.eval(x))
+    u, w = frlap._jacobi_rule(nr, 0.0, 1.0 - 2.0 * s)
+    r = r0 * (u + 1.0) / 2.0
+    scale = (r0 / 2.0) ** (2.0 - 2.0 * s)
+    theta = (np.arange(na) + 0.5) * (math.pi / na)
+    omega = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    Z = r[:, None, None] * omega[None, :, :]
+    g = 2.0 * fx - f.eval(x[None, None, :] + Z) - f.eval(x[None, None, :] - Z)
+    inner = 2.0 * (math.pi / na) * scale * float(np.einsum("i,ij->", w, g / r[:, None] ** 2))
+    tail = 2.0 * fx * (2.0 * math.pi * r0 ** (-2.0 * s) / (2.0 * s))
+    phi = (np.arange(2 * na) + 0.5) * (math.pi / na)
+    if f.power_quad is None:
+        per_ray = frlap._outer_panels(f, x, s, r0, phi, n_panels)
+    else:
+        Q, amp = f.power_quad
+        om = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        A = -np.einsum("ki,ij,kj->k", om, Q, om)
+        B = -2.0 * (om @ (Q @ x))
+        C = 1.0 - float(x @ (Q @ x))
+        disc = np.sqrt(B * B - 4.0 * A * C)
+        r_exit = (-B - disc) / (2.0 * A)
+        r_back = (-B + disc) / (2.0 * A)
+        u, w = frlap._jacobi_rule(max(16, 4 * n_panels), float(s), 0.0)
+        half = 0.5 * (r_exit - r0)
+        rr = r0 + half[None, :] * (u[:, None] + 1.0)
+        smooth = amp * (np.abs(A)[None, :] * (rr - r_back[None, :])) ** s * rr ** (-1.0 - 2.0 * s)
+        per_ray = half ** (1.0 + s) * np.einsum("i,ik->k", w, smooth)
+    field_part = (math.pi / na) * float(np.sum(per_ray))
+    outer = tail - 2.0 * field_part
+    return 0.5 * c * (inner + outer)
+
+
+def _bits(value, error, converged):
+    return float(value).hex(), float(error).hex(), bool(converged)
+
+
+def _reference_eval(f, x):
+    if f.inner_scale is None:
+        r0 = frlap._SPLIT * float(boundary_distance(f.support, x))
+    else:
+        r0 = f.inner_scale
+    value = _reference_value(f, x, r0, 64, 64, 12)
+    err = abs(value - _reference_value(f, x, r0, 32, 32, 6))
+    return value, err, err <= frlap._TOL * max(1.0, abs(value))
+
+
+class TestBatch:
+
+    @given(field=_BATCH_FIELDS, k=st.sampled_from([1, frlap._BLOCK + 3]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_has_the_bits_of_single_calls(self, field, k, seed):
+        f = _batch_field(*field)
+        rng = np.random.default_rng(seed)
+        rad, ang = 0.85 * np.sqrt(rng.uniform(size=k)), rng.uniform(0.0, 2.0 * math.pi, size=k)
+        X = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
+        want = [_bits(*_reference_eval(f, x)) for x in X]
+        assert [_bits(*astuple(frlap_eval(f, x))) for x in X] == want
+        batch = frlap_eval(f, X)
+        assert [_bits(*r) for r in zip(batch.value, batch.error, batch.converged)] == want
+
+    def test_batch_measures_its_distances_in_one_call(self, monkeypatch):
+        seen, real = [], frlap.boundary_distance
+
+        def counting(d, x):
+            seen.append(len(x))
+            return real(d, x)
+
+        monkeypatch.setattr(frlap, "boundary_distance", counting)
+        X = np.array([[0.04 * i - 0.4, 0.03 * i - 0.3] for i in range(20)])
+        res = frlap_eval(torsion_ellipsoid(FracParams(2, 0.5), 0.02), X)
+        assert seen == [20] and res.value.shape == (20,)
+
+    @pytest.mark.parametrize("bad", [
+        [(0.97, 0.0), (0.0, 0.99)],  # two too close: the first one's distance
+        [(0.0, 0.99), (1.2, 0.0)],   # too close before outside
+        [(1.2, 0.0), (0.0, 0.99)],   # outside before too close
+    ])
+    def test_batch_raises_for_its_first_bad_point(self, bad):
+        f = torsion_ball(FracParams(2, 0.5))
+        X = np.array([(0.1, 0.2)] + bad + [(0.3, -0.1)])
+        with pytest.raises(EvaluationPointError) as single:
+            frlap_eval(f, np.array(bad[0]))
+        with pytest.raises(EvaluationPointError) as batch:
+            frlap_eval(f, X)
+        assert str(batch.value) == str(single.value)

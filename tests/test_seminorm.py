@@ -225,5 +225,6 @@ def test_chart_dataclass_fields():
     chart = ellipsoid_chart(0.05)
     assert isinstance(chart, EllipsoidChart)
     assert chart.eps == 0.05
-    assert chart.a_eps(0.0) == pytest.approx(0.55)
-    assert chart.b_eps(0.0) == pytest.approx(1.0 - 1.05 / 2.0)
+    a, b, _ = seminorm._offset_coefficients(0.05, 0.0)
+    assert a == pytest.approx(0.55)
+    assert b == pytest.approx(1.0 - 1.05 / 2.0)
