@@ -18,7 +18,7 @@ from .movingplanes import (TAG_ORTHOGONAL, TAG_TANGENCY, TAG_UNRESOLVED,
 from .measures import (MeasureEstimate, MeasureParameterError,
                        boundary_weighted_integral, halton_points, mc_volume,
                        slab_measure, sym_diff_measure)
-from .seminorm import (EllipsoidChart, OptimBudget, SeminormResult,
+from .seminorm import (OptimBudget, SeminormResult,
                        ellipsoid_chart, ellipsoid_ratio_limit,
                        ellipsoid_seminorm, ellipsoid_seminorm_ratio,
                        lipschitz_seminorm, phi0_quotient_sup,

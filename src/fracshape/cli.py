@@ -189,13 +189,15 @@ def _parse_domain(text: str):
     parts = str(text).split(":")
     kind = parts[0]
     if kind == "ball":
+        if len(parts) > 2:
+            raise CliError("ball domain is spelled ball or ball:R")
         r = _as_float(parts[1], "ball radius", lo=0.0) if len(parts) > 1 else 1.0
         return kind, (r,), ball(np.zeros(2), r)
     if kind == "ellipsoid":
         if len(parts) != 2:
             raise CliError("ellipsoid domain is spelled ellipsoid:EPS")
         eps = _as_float(parts[1], "ellipsoid stretch", lo=0.0, hi=0.25)
-        return kind, (eps,), ellipsoid(FracParams(2, 0.5), eps)
+        return kind, (eps,), ellipsoid(eps)
     if kind == "bump":
         if len(parts) not in (2, 3):
             raise CliError("bump domain is spelled bump:EPS or bump:EPS:ALPHA")

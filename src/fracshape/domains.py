@@ -1,8 +1,8 @@
 """Implicit domains: balls, stretched ellipsoids, bump-perturbed disks, erosion.
 
-Domains are level-set based (negative inside).  All callables stored on a
-domain are vectorized over a trailing coordinate axis: points have shape
-``(..., n)`` and values come back with shape ``(...,)``.
+Domains are planar and level-set based (negative inside).  All callables
+stored on a domain are vectorized over a trailing coordinate axis: points
+have shape ``(..., 2)`` and values come back with shape ``(...,)``.
 
 Every boundary quantity read off the charts (samples, support values, radial
 extremes, distances, the moving-plane excess) uses one primitive: a uniform
@@ -46,7 +46,7 @@ class Chart:
 @dataclass(frozen=True)
 class DiskDeviation:
     """Certificate that the domain agrees with the disk of ``radius``
-    (centered at the origin) outside ``box``, a ``(2, n)`` array of
+    (centered at the origin) outside ``box``, a ``(2, 2)`` array of
     (lower, upper) corners, or everywhere when ``box`` is None.
 
     Used by the measure estimators to split off a closed-form disk part.
@@ -67,10 +67,6 @@ class ImplicitDomain:
     support_fn: Optional[Callable[[np.ndarray], float]] = None
     disk_deviation: Optional[DiskDeviation] = None
 
-    @property
-    def dim(self) -> int:
-        return self.bbox.shape[1]
-
     def contains(self, pts) -> np.ndarray:
         return self.level(np.asarray(pts, dtype=float)) < 0.0
 
@@ -79,6 +75,11 @@ class ImplicitDomain:
 class ShapeMetrics:
     rho_shape: float
     center: np.ndarray
+
+
+def box_corners(box: np.ndarray) -> np.ndarray:
+    """The four corners, shape ``(4, 2)``, of a ``(2, 2)`` box of (lower, upper) corners."""
+    return np.array([[box[i, 0], box[j, 1]] for i in (0, 1) for j in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,6 @@ def ball(center, r) -> ImplicitDomain:
     rf = float(r)
     if not rf > 0.0:
         raise DomainParameterError(f"ball radius must be positive, got {r!r}")
-    n = center.size
 
     def sdf(pts):
         pts = np.asarray(pts, dtype=float)
@@ -101,33 +101,24 @@ def ball(center, r) -> ImplicitDomain:
         d = pts - center
         return d / np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
 
-    charts = None
-    if n == 2:
-        def arc(t):
-            t = np.asarray(t, dtype=float)
-            return center + rf * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    def arc(t):
+        t = np.asarray(t, dtype=float)
+        return center + rf * np.stack([np.cos(t), np.sin(t)], axis=-1)
 
-        charts = (Chart(arc, 0.0, 2.0 * math.pi),)
-
-    dev = None
-    if n == 2 and np.all(center == 0.0):
-        dev = DiskDeviation(radius=rf)
-
-    bbox = np.stack([center - rf, center + rf])
     return ImplicitDomain(
         level=sdf,
-        bbox=bbox,
+        bbox=np.stack([center - rf, center + rf]),
         exact_sdf=sdf,
-        boundary_param=charts,
+        boundary_param=(Chart(arc, 0.0, 2.0 * math.pi),),
         interior_ball_radius=rf,
         normal=normal,
         support_fn=lambda e: float(center @ np.asarray(e, dtype=float)) + rf,
-        disk_deviation=dev,
+        disk_deviation=DiskDeviation(radius=rf) if np.all(center == 0.0) else None,
     )
 
 
 # ---------------------------------------------------------------------------
-# ellipsoids with semi-axes (1+eps, 1, ..., 1)
+# stretched disks with semi-axes (1+eps, 1)
 
 
 def _ellipse_axis_distance(p1, a, b):
@@ -206,52 +197,41 @@ def _ellipse_distance(p1, p2, a, b):
     return np.where(off_axis, d_off, _ellipse_axis_distance(p1, a, b))
 
 
-def ellipsoid(p, eps) -> ImplicitDomain:
-    """Unit-ball stretch by 1+eps along the first axis, for params ``p``."""
-    n = p.n
+def ellipsoid(eps) -> ImplicitDomain:
+    """Unit disk stretched by 1+eps along the first axis."""
     epsf = float(eps)
     if not 0.0 <= epsf < 0.25:
         raise DomainParameterError(f"ellipsoid stretch restricted to [0, 1/4), got {eps!r}")
-    if n < 2:
-        raise DomainParameterError("ellipsoid needs dimension >= 2")
     a = 1.0 + epsf
 
     def level(pts):
         pts = np.asarray(pts, dtype=float)
-        return (pts[..., 0] / a) ** 2 + np.sum(pts[..., 1:] ** 2, axis=-1) - 1.0
+        return (pts[..., 0] / a) ** 2 + pts[..., 1] ** 2 - 1.0
 
     def sdf(pts):
         pts = np.asarray(pts, dtype=float)
-        shape = pts.shape[:-1]
-        flat = pts.reshape(-1, n)
-        radial = np.linalg.norm(flat[:, 1:], axis=1)
-        d = _ellipse_distance(flat[:, 0], radial, a, 1.0)
-        inside = level(flat) < 0.0
-        return (np.where(inside, -d, d)).reshape(shape)
+        flat = pts.reshape(-1, 2)  # 1-d arrays for _ellipse_distance, also for one point
+        d = _ellipse_distance(flat[:, 0], flat[:, 1], a, 1.0)
+        return np.where(level(flat) < 0.0, -d, d).reshape(pts.shape[:-1])
 
     def normal(pts):
         pts = np.asarray(pts, dtype=float)
-        g = np.concatenate([pts[..., :1] / a**2, pts[..., 1:]], axis=-1)
+        g = np.stack([pts[..., 0] / a**2, pts[..., 1]], axis=-1)
         return g / np.maximum(np.linalg.norm(g, axis=-1, keepdims=True), 1e-300)
 
-    charts = None
-    if n == 2:
-        def arc(t):
-            t = np.asarray(t, dtype=float)
-            return np.stack([a * np.cos(t), np.sin(t)], axis=-1)
-
-        charts = (Chart(arc, 0.0, 2.0 * math.pi),)
+    def arc(t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([a * np.cos(t), np.sin(t)], axis=-1)
 
     def support(e):
         e = np.asarray(e, dtype=float)
-        return float(math.sqrt((a * e[0]) ** 2 + float(np.sum(e[1:] ** 2))))
+        return math.sqrt((a * e[0]) ** 2 + e[1] ** 2)
 
-    lo = -np.array([a] + [1.0] * (n - 1))
     return ImplicitDomain(
         level=level,
-        bbox=np.stack([lo, -lo]),
+        bbox=np.array([[-a, -1.0], [a, 1.0]]),
         exact_sdf=sdf,
-        boundary_param=charts,
+        boundary_param=(Chart(arc, 0.0, 2.0 * math.pi),),
         interior_ball_radius=1.0 / a,
         normal=normal,
         support_fn=support,
@@ -520,7 +500,7 @@ def _refined_extremes(d: ImplicitDomain, center: np.ndarray):
 
 def radial_extremes(d: ImplicitDomain):
     """(rho_i, rho_e): nearest and farthest boundary point from the origin."""
-    return _refined_extremes(d, np.zeros(d.dim))
+    return _refined_extremes(d, np.zeros(2))
 
 
 def shape_metrics(d: ImplicitDomain) -> ShapeMetrics:

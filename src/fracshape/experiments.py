@@ -101,7 +101,7 @@ def stability_probe(p: FracParams, eps_grid,
         raise ParameterDomainError("stretch grid must lie inside (0, 1/4)")
     rows = []
     for eps in eps_list:
-        dom = ellipsoid(p, eps)
+        dom = ellipsoid(eps)
         metrics = shape_metrics(dom)
         sem = ellipsoid_seminorm(p, eps, budget=budget)
         rows.append({"eps": eps, "rho_shape": metrics.rho_shape,
@@ -194,7 +194,8 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
     stay in a bounded band; ``ratio_lem53`` divides by
     gamma * (gap + gamma*|lam|); ``ratio_linear`` divides by gamma * gap
     and is the one that blows up as eps -> 0.  A degenerate row (gap at
-    rounding level) is flagged ``skip`` with NaN ratios.
+    rounding level, or a gamma so small that a denominator underflows to
+    zero) is flagged ``skip`` with NaN ratios.
     """
     alphaf = float(alpha)
     if not alphaf > 1.0:
@@ -215,14 +216,15 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
             est = slab_measure(dom, res, g, n_slab, seed=seed + 1000 * i + j)
             row = {"eps": eps, "gamma": g, "lam": res.lam, "gap": gap,
                    "slab": est.value, "slab_err": est.error}
-            if gap <= 1e-12:
+            dens = None
+            if gap > 1e-12:
+                dens = (g * gap ** (1.0 - 1.0 / alphaf), g * (gap + g * abs(res.lam)),
+                        g * gap)
+            if dens is None or 0.0 in dens:
                 row.update(ratio_thm52=float("nan"), ratio_lem53=float("nan"),
                            ratio_linear=float("nan"), flag="skip")
             else:
-                row.update(
-                    ratio_thm52=est.value / (g * gap ** (1.0 - 1.0 / alphaf)),
-                    ratio_lem53=est.value / (g * (gap + g * abs(res.lam))),
-                    ratio_linear=est.value / (g * gap),
-                    flag=_row_flags(res, tol))
+                row.update(ratio_thm52=est.value / dens[0], ratio_lem53=est.value / dens[1],
+                           ratio_linear=est.value / dens[2], flag=_row_flags(res, tol))
             rows.append(row)
     return LemmaResult(rows=tuple(rows))

@@ -9,7 +9,7 @@ Inside, a Gauss-Jacobi rule absorbs the r^(1-2s) radial weight exactly;
 outside, the 2 f(x) tail is analytic and the field part integrates along
 rays, with a Jacobi end-point rule when the field exposes its quadratic
 profile (so the (.)_+^s edge is handled by the weight, not the nodes).
-Quadrature is implemented for n = 2; fields evaluate in any dimension.
+Quadrature is implemented for n = 2.
 A batch of points is integrated in blocks of ``_BLOCK`` points, with the
 node grids of a block held in one array.
 """
@@ -23,7 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domains import ImplicitDomain, ball, boundary_distance, _smoothstep
+from .domains import (ImplicitDomain, ball, boundary_distance, box_corners, ellipsoid,
+                      _smoothstep)
 from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
 
 
@@ -93,16 +94,14 @@ def power_field(p: FracParams, Q: np.ndarray, amp: float,
 
 def torsion_ball(p: FracParams) -> ScalarField:
     """Torsion profile of the unit ball; its operator value is one inside."""
-    return power_field(p, np.eye(p.n), gamma_ns(p), ball(np.zeros(p.n), 1.0))
+    return power_field(p, np.eye(2), gamma_ns(p), ball(np.zeros(2), 1.0))
 
 
 def torsion_ellipsoid(p: FracParams, eps: float) -> ScalarField:
     """Torsion profile of the (1+eps)-stretched ball."""
-    from .domains import ellipsoid
-
     a = 1.0 + float(eps)
-    Q = np.diag([1.0 / a**2] + [1.0] * (p.n - 1))
-    return power_field(p, Q, gamma_nse(p, eps), ellipsoid(p, eps))
+    Q = np.diag([1.0 / a**2, 1.0])
+    return power_field(p, Q, gamma_nse(p, eps), ellipsoid(eps))
 
 
 def radial_cutoff(r):
@@ -188,9 +187,7 @@ def _outer_power(f, X, s, r0, angles, n_nodes):
 
 def _outer_panels(f, x, s, r0, angles, n_panels):
     """Per-ray field integral by graded Gauss-Legendre panels (smooth fields)."""
-    corners = np.stack([f.support.bbox[i] for i in range(2)])
-    grid = np.array([[corners[i, 0], corners[j, 1]] for i in (0, 1) for j in (0, 1)])
-    r_out = float(np.max(np.linalg.norm(grid - x, axis=-1)))
+    r_out = float(np.max(np.linalg.norm(box_corners(f.support.bbox) - x, axis=-1)))
     if r_out <= r0:
         return np.zeros(angles.size)
     breaks = r0 * (r_out / r0) ** (np.arange(n_panels + 1) / n_panels)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ImplicitDomain, boundary_distance, radial_extremes
+from .domains import ImplicitDomain, boundary_distance, box_corners, radial_extremes
 from .movingplanes import CriticalPlaneResult, reflect
 
 
@@ -104,10 +104,9 @@ def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
 
 
 def _mirror_hull(box: np.ndarray, lam: float, e) -> np.ndarray:
-    """Bounding box of ``box`` (a ``(2, n)`` array of lower and upper
+    """Bounding box of ``box`` (a ``(2, 2)`` array of lower and upper
     corners) together with its mirror image across the plane {x.e = lam}."""
-    n = box.shape[1]
-    corners = box[np.array(np.meshgrid(*[[0, 1]] * n)).T.reshape(-1, n), np.arange(n)]
+    corners = box_corners(box)
     both = np.concatenate([corners, reflect(corners, lam, e)])
     return np.stack([both.min(axis=0), both.max(axis=0)])
 
@@ -166,7 +165,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
 
     sym_diff = _sym_diff(d, lam, e)
     dev = d.disk_deviation
-    if dev is not None and d.dim == 2:
+    if dev is not None:
         base = _disk_slab_closed_form(gamma, lam, dev.radius)
         # The plane offset itself is only known to res.tol; propagate that
         # through the closed-form part.
@@ -214,8 +213,6 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     so the innermost shell uses a t^(-s) importance map in the radial gap
     to keep the weighted integrand bounded.
     """
-    if d.dim != 2:
-        raise MeasureParameterError("boundary-weighted integral implemented in 2D")
     if not 0.0 < s < 1.0:
         raise MeasureParameterError(f"exponent must lie in (0, 1), got {s!r}")
     rho_e = radial_extremes(d)[1]

@@ -12,11 +12,12 @@ the result unconverged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .domains import Chart, polish
+from .frlap import torsion_ellipsoid
 from .measures import halton_points
 from .optim import golden_max
 from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
@@ -49,15 +50,6 @@ class SeminormResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class EllipsoidChart:
-    """Offset-curve parametrization of the half boundary of the eroded
-    stretched ball."""
-
-    eps: float
-    phi_eps: Callable[[np.ndarray], np.ndarray]
-
-
 def _offset_coefficients(e: float, tau):
     """Coefficients a(tau), b(tau) of the offset chart, with the root
     sqrt(1 + q tau^2) they share; q = (1 + e)^2 - 1."""
@@ -86,9 +78,10 @@ def _offset_profile(e: float, tau):
     return a, b, da, x, dx
 
 
-def ellipsoid_chart(eps: float) -> EllipsoidChart:
+def ellipsoid_chart(eps: float) -> Chart:
     """Chart r in [-1, 1] -> 1/2-inward offset of the (1+eps)-stretched
-    circle, covering the x1 >= 0 half (n = 2).
+    circle, covering the x1 >= 0 half: the half boundary of the eroded
+    stretched ball.
 
     The offset point along the inward normal of the stretched circle
     works out to (a(|r|) sqrt(1-r^2), b(|r|) r) with ``_offset_coefficients``;
@@ -103,7 +96,7 @@ def ellipsoid_chart(eps: float) -> EllipsoidChart:
         a, b, _ = _offset_coefficients(e, np.abs(r))
         return np.stack([a * np.sqrt(np.maximum(0.0, 1.0 - r * r)), b * r], axis=-1)
 
-    return EllipsoidChart(eps=e, phi_eps=phi_eps)
+    return Chart(phi_eps, -1.0, 1.0)
 
 
 def _pair_sup(values, chart: Chart, budget: OptimBudget):
@@ -234,14 +227,11 @@ def ellipsoid_seminorm(p: FracParams, eps: float,
     (reflecting one endpoint keeps the numerator and shrinks the chord).
     The sup is the coincidence limit, maximized in closed form.
     """
-    from .frlap import torsion_ellipsoid
-
     if p.n != 2:
         raise ParameterDomainError("offset-chart seminorm implemented for n = 2")
     if not 0.0 < eps < 0.25:
         raise ParameterDomainError(f"stretch restricted to (0, 1/4), got {eps!r}")
-    chart = Chart(ellipsoid_chart(eps).phi_eps, -1.0, 1.0)
-    return _closed_form_seminorm(torsion_ellipsoid(p, eps).eval, chart,
+    return _closed_form_seminorm(torsion_ellipsoid(p, eps).eval, ellipsoid_chart(eps),
                                  lambda r: _torsion_rate(p, eps, r), budget)
 
 
@@ -272,8 +262,7 @@ def phi0_quotient_sup(budget: Optional[OptimBudget] = None) -> float:
     phi0(r) = (sqrt(1 - r^2), r) / 2, where r^2 = 4 x2^2.  The coincidence
     rate 2|r| / |phi0'(r)| = 4|r| sqrt(1 - r^2) peaks at |r| = 1/sqrt(2): 2.
     """
-    chart = Chart(ellipsoid_chart(0.0).phi_eps, -1.0, 1.0)
-    return _closed_form_seminorm(lambda x: 4.0 * x[..., 1] ** 2, chart,
+    return _closed_form_seminorm(lambda x: 4.0 * x[..., 1] ** 2, ellipsoid_chart(0.0),
                                  lambda r: 4.0 * np.abs(r) * np.sqrt(1.0 - r * r),
                                  budget).value
 

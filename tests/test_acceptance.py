@@ -57,7 +57,7 @@ def test_01_ball_torsion_solves_the_unit_problem():
 
 def test_02_ellipsoid_torsion_solves_the_unit_problem():
     p = FracParams(2, 0.5)
-    dom = ellipsoid(p, 0.1)
+    dom = ellipsoid(0.1)
     field = torsion_ellipsoid(p, 0.1)
     res = frlap_eval(field, _interior_points(dom, 20, 0.2))
     worst = float(np.max(np.abs(res.value - 1.0)))
@@ -115,7 +115,7 @@ def test_06_lemma_normalization_separates_the_scalings():
 
 
 def test_07_erosion_dilation_round_trip():
-    dom = ellipsoid(FracParams(2, 0.5), 0.1)
+    dom = ellipsoid(0.1)
     inner = erode(dom, 0.5)
 
     pts = halton_points(100_000, 2, seed=3)

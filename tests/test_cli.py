@@ -63,6 +63,7 @@ class TestErrors:
         ("torsion-check", "--domain", "ball:2"),
         ("torsion-check", "--domain", "ellipsoid:x"),
         ("torsion-check", "--domain", "bump:1e-3"),
+        ("critical-plane", "--domain", "ball:1:junk"),
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -168,7 +169,7 @@ class TestTorsionCheckDraw:
 
     def test_selects_the_first_admissible_points_of_the_full_stream(
             self, capsys, monkeypatch, tmp_path):
-        dom = ellipsoid(FracParams(2, 0.5), 0.1)
+        dom = ellipsoid(0.1)
         lo, hi = dom.bbox
         full = lo + (hi - lo) * halton_points(65536, 2, 0)
         full = full[dom.contains(full)]
@@ -200,7 +201,25 @@ class TestTorsionCheckDraw:
             "command": "torsion-check"}
 
 
+def _run_python(script):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestImportGuard:
+
+    def test_import_loads_neither_scipy_spatial_nor_scipy_special(self):
+        # the chart distance search and the quadrature rules import them lazily
+        script = """
+import sys
+import fracshape
+print("scipy.spatial" in sys.modules, "scipy.special" in sys.modules)
+"""
+        assert _run_python(script) == "False False"
 
     def test_sampling_commands_never_import_scipy_stats(self, tmp_path):
         # scipy.stats costs more at a cold start than all of fracshape
@@ -214,12 +233,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in runs]
 print(codes, "scipy.stats" in sys.modules)
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[0, 0, 0] False"
+        assert _run_python(script) == "[0, 0, 0] False"
 
 
 class TestResultShapes:
@@ -381,3 +395,48 @@ class TestSlabMeasureInputs:
             assert math.isfinite(res["slab"]["error"]) and res["slab"]["error"] >= 0.0
             assert math.isfinite(res["plane"]["lambda"])
             assert res["plane"]["lambda"] <= res["plane"]["Lambda"]
+
+
+def _float_list(lo, hi, max_size=3, **kw):
+    return st.lists(_floats(lo, hi, **kw), min_size=1, max_size=max_size).map(
+        lambda v: ",".join(repr(x) for x in v))
+
+
+_BUMP_HEIGHTS = _float_list(0.0, 0.05, exclude_min=True)
+_ALPHAS = _floats(1.0, 8.0, exclude_min=True)
+
+
+class TestCounterexampleScanInputs:
+
+    @settings(max_examples=5, deadline=None)
+    @given(alpha=_ALPHAS, eps=_BUMP_HEIGHTS,
+           gamma=_floats(0.0, 0.25, exclude_min=True, exclude_max=True),
+           tol=_floats(1e-10, 1e-3), n=st.integers(100, 2000))
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(
+            self, alpha, eps, gamma, tol, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, res = _run_timed(["counterexample-scan", "--alpha", repr(alpha),
+                                    "--eps", eps, "--gamma", repr(gamma), "--tol", repr(tol),
+                                    "--n", str(n), "--out", tmp])
+            if code == 0:
+                (csv_art,) = Path(tmp).glob("*.csv")
+                assert len(csv_art.read_text().splitlines()) == len(eps.split(",")) + 1
+                for fit in (res["lambda_fit"], res["slab_fit"]):
+                    assert fit is None or math.isfinite(fit["slope"])
+
+
+class TestLemmaCheckInputs:
+
+    @settings(max_examples=5, deadline=None)
+    @given(alpha=_ALPHAS, eps=_BUMP_HEIGHTS,
+           gamma=_float_list(0.0, 0.25, max_size=2, exclude_min=True),
+           tol=_floats(1e-10, 1e-3), n=st.integers(100, 2000))
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(
+            self, alpha, eps, gamma, tol, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, res = _run_timed(["lemma-check", "--alpha", repr(alpha), "--eps", eps,
+                                    "--gamma", gamma, "--tol", repr(tol), "--n", str(n),
+                                    "--out", tmp])
+            if code == 0:
+                assert res["rows"] == len(eps.split(",")) * len(gamma.split(","))
+                assert 0 <= res["flagged"] <= res["rows"]

@@ -11,9 +11,7 @@ from fracshape.domains import (DomainParameterError, _ellipse_axis_distance,
                                ellipsoid, erode, odd_cutoff, radial_extremes,
                                shape_metrics, signed_distance)
 from fracshape.measures import halton_points
-from fracshape.specfun import FracParams
 
-P = FracParams(2, 0.5)
 
 # Signed distances to the ellipse x^2/1.1^2 + y^2 = 1, frozen from projection
 # onto a 3e6-vertex polyline (chord error << 1e-9).
@@ -103,16 +101,16 @@ class TestEllipsoid:
 
     @pytest.mark.parametrize("q, ref", ELLIPSE_DIST_REF)
     def test_exact_distance_against_polyline(self, q, ref):
-        d = ellipsoid(P, 0.1)
+        d = ellipsoid(0.1)
         assert signed_distance(d, np.array(q)) == pytest.approx(ref, abs=1e-7)
 
     def test_boundary_samples_sit_on_level(self):
-        d = ellipsoid(P, 0.2)
+        d = ellipsoid(0.2)
         samples = boundary_samples(d, 512)
         assert np.max(np.abs(d.level(samples))) < 1e-12
 
     def test_radial_extremes(self):
-        d = ellipsoid(P, 0.15)
+        d = ellipsoid(0.15)
         rho_i, rho_e = radial_extremes(d)
         assert rho_i == pytest.approx(1.0, abs=1e-9)
         assert rho_e == pytest.approx(1.15, abs=1e-9)
@@ -120,15 +118,15 @@ class TestEllipsoid:
     @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005, 1e-9])
     def test_shape_metrics_recover_stretch(self, eps):
         # the centroid start is the exact centre, so the gap is the stretch
-        m = shape_metrics(ellipsoid(P, eps))
+        m = shape_metrics(ellipsoid(eps))
         assert abs(m.rho_shape - eps) <= 1e-12
         assert np.linalg.norm(m.center) <= 1e-12
 
     def test_stretch_range(self):
         with pytest.raises(DomainParameterError):
-            ellipsoid(P, 0.25)
+            ellipsoid(0.25)
         with pytest.raises(DomainParameterError):
-            ellipsoid(P, -0.01)
+            ellipsoid(-0.01)
 
     @settings(max_examples=60, deadline=None)
     @given(eps=st.sampled_from([1e-9, 0.005, 0.01, 0.02, 0.1, 0.2]),
@@ -157,12 +155,12 @@ class TestEllipsoid:
     def test_distance_near_the_centre(self, eps, x):
         # the root t sits within O(x2) of -1, below the float spacing of t
         # there; the solve in s = t + 1 finds the foot
-        got = boundary_distance(ellipsoid(P, eps), np.array(x))
+        got = boundary_distance(ellipsoid(eps), np.array(x))
         assert got == pytest.approx(_polar_distance(x, 1.0 + eps, 1.0), abs=1e-9)
 
     @given(st.floats(min_value=0.0, max_value=0.24), st.floats(min_value=0, max_value=2 * math.pi))
     def test_boundary_distance_vanishes_on_boundary(self, eps, t):
-        d = ellipsoid(P, eps)
+        d = ellipsoid(eps)
         q = np.array([(1 + eps) * math.cos(t), math.sin(t)])
         assert abs(signed_distance(d, q)) < 1e-9
 
@@ -178,7 +176,7 @@ class TestErosion:
         # x in parent  <=>  dist(x, eroded) <= rho, checked via the exact
         # parent sdf: eroded + rho-ball recovers the parent.
         eps, rho = 0.1, 0.5
-        parent = ellipsoid(P, eps)
+        parent = ellipsoid(eps)
         inner = erode(parent, rho)
         pts = 1.3 * (2.0 * halton_points(20_000, 2, seed=9) - 1.0)
         parent_side = signed_distance(parent, pts) <= -1e-6
@@ -186,7 +184,7 @@ class TestErosion:
         assert np.array_equal(parent_side, dilated_side)
 
     def test_offset_charts_track_level(self):
-        inner = erode(ellipsoid(P, 0.2), 0.4)
+        inner = erode(ellipsoid(0.2), 0.4)
         samples = boundary_samples(inner, 256)
         assert np.max(np.abs(inner.level(samples))) < 1e-9
 

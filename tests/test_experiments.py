@@ -129,6 +129,16 @@ class TestLemmaCheck:
         assert all(math.isnan(row[k])
                    for k in ("ratio_thm52", "ratio_lem53", "ratio_linear"))
 
+    def test_underflowing_denominators_are_skipped(self):
+        # gamma * gap underflows to zero at the smallest subnormal gamma
+        res = geometric_lemma_check(2.0, [0.03125], [5e-324, 0.125], tol=1e-3, n_slab=100)
+        tiny, wide = res.rows
+        assert tiny["gap"] > 1e-12 and tiny["gamma"] * tiny["gap"] == 0.0
+        assert tiny["flag"] == "skip"
+        assert all(math.isnan(tiny[k])
+                   for k in ("ratio_thm52", "ratio_lem53", "ratio_linear"))
+        assert wide["flag"] != "skip" and math.isfinite(wide["ratio_thm52"])
+
 
 class TestArtifacts:
 

@@ -11,9 +11,7 @@ from fracshape.measures import (MeasureEstimate, MeasureParameterError,
                                 boundary_weighted_integral, halton_points,
                                 mc_volume, slab_measure, sym_diff_measure)
 from fracshape.movingplanes import CriticalPlaneResult, critical_lambda
-from fracshape.specfun import FracParams
 
-P = FracParams(2, 0.5)
 E1 = np.array([1.0, 0.0])
 
 
@@ -91,7 +89,7 @@ class TestSymmetricDifference:
         assert est.error < 0.05
 
     def test_reflection_at_zero_vanishes(self):
-        d = ellipsoid(P, 0.1)
+        d = ellipsoid(0.1)
         est = sym_diff_measure(d, plane_at(0.0), 100_000, seed=0)
         assert est.value <= 3.0 * max(est.error, 1e-9)
 

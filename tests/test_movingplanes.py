@@ -10,9 +10,7 @@ from fracshape.domains import ball, bump_domain, ellipsoid
 from fracshape.movingplanes import (_VIOLATION_EPS, TAG_ORTHOGONAL, TAG_TANGENCY,
                                     TAG_UNRESOLVED, _chart_grids, critical_lambda,
                                     reflect, support_value, to_record, violation)
-from fracshape.specfun import FracParams
 
-P = FracParams(2, 0.5)
 
 finite = st.floats(min_value=-5, max_value=5)
 
@@ -92,7 +90,7 @@ class TestSupportValue:
         assert support_value(d, np.array([-1.0, 0.0])) == pytest.approx(0.5, abs=1e-9)
 
     def test_ellipsoid_long_axis(self):
-        d = ellipsoid(P, 0.2)
+        d = ellipsoid(0.2)
         assert support_value(d, np.array([1.0, 0.0])) == pytest.approx(1.2, abs=1e-9)
         assert support_value(d, np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-9)
 
@@ -101,7 +99,7 @@ class TestCriticalPlane:
 
     @pytest.mark.parametrize("make", [
         lambda: ball((0.0, 0.0), 1.0),
-        lambda: ellipsoid(P, 0.1),
+        lambda: ellipsoid(0.1),
     ])
     def test_symmetric_domains_stop_at_center(self, make):
         res = critical_lambda(make(), np.array([1.0, 0.0]), tol=1e-6)
@@ -111,7 +109,7 @@ class TestCriticalPlane:
     def test_bisection_stops_at_float_spacing(self, monkeypatch):
         # tol far below the float spacing near lambda: the bisection must stop
         # once the midpoint no longer splits the bracket
-        d, e = ellipsoid(P, 0.1), np.array([1.0, 1.0])
+        d, e = ellipsoid(0.1), np.array([1.0, 1.0])
         coarse = critical_lambda(d, e, tol=1e-8)
         calls = []
 
@@ -135,7 +133,7 @@ class TestCriticalPlane:
 
     @pytest.mark.parametrize("make, e, tol", [
         (lambda: ball((0.0, 0.0), 1.0), (1.0, 0.0), 1e-6),
-        (lambda: ellipsoid(P, 0.1), (1.0, 1.0), 1e-6),
+        (lambda: ellipsoid(0.1), (1.0, 1.0), 1e-6),
         (lambda: bump_domain(1e-3, 2.0), (1.0, 0.0), 1e-8),
         (lambda: bump_domain(1e-4, 2.0), (1.0, 0.0), 1e-8),
         (lambda: bump_domain(1e-2, 2.0), (0.0, 1.0), 1e-6),
@@ -182,7 +180,7 @@ class TestCriticalPlane:
     @pytest.mark.parametrize("make, e", [
         (lambda: bump_domain(1e-3, 2.0), (1.0, 0.0)),
         (lambda: bump_domain(1e-2, 2.0), (0.0, 1.0)),
-        (lambda: ellipsoid(P, 0.1), (1.0, 1.0)),
+        (lambda: ellipsoid(0.1), (1.0, 1.0)),
     ], ids=["bump-1e-3", "bump-1e-2-e01", "ellipsoid-0.1-e11"])
     def test_refined_excess_never_below_raw(self, make, e):
         # the premise of polishing only raw-clean midpoints: at every scan
