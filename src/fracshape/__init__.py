@@ -5,10 +5,9 @@ from .specfun import (FracParams, GammaPoleError, ParameterDomainError,
                       gamma, gamma_ns, gamma_nse, gauss_2f1,
                       normalization_constant)
 from .domains import (Chart, DiskDeviation, DomainParameterError,
-                      ImplicitDomain, ProjectionError, ShapeMetrics, ball,
-                      boundary_distance, boundary_samples, bump_domain,
-                      ellipsoid, erode, radial_extremes, shape_metrics,
-                      signed_distance)
+                      ImplicitDomain, ProjectionError, ball, boundary_distance,
+                      boundary_samples, bump_domain, ellipsoid, erode,
+                      radial_extremes, signed_distance)
 from .frlap import (EvaluationPointError, FrlapResult, QuadratureConfig,
                     ScalarField, UnsupportedDimensionError, barrier,
                     frlap_eval, power_field, torsion_ball, torsion_ellipsoid)

@@ -102,7 +102,7 @@ def _collect_config(args) -> RunConfig:
         if val is not None:
             params[key] = val
     cfg = RunConfig(command=args.command, params=params,
-                    seed=_as_int(args.seed, "seed", lo=None),
+                    seed=_as_int(args.seed, "seed", lo=0),
                     output_path=args.out)
     if args.config:
         try:
@@ -126,7 +126,7 @@ def _collect_config(args) -> RunConfig:
         for k, v in raw_params.items():
             cfg.params[k] = v if isinstance(v, str) else str(v)
         if "seed" in raw:
-            cfg.seed = _as_int(raw["seed"], "seed", lo=None)
+            cfg.seed = _as_int(raw["seed"], "seed", lo=0)
         if "output_path" in raw:
             cfg.output_path = str(raw["output_path"])
     missing = [k for k, d in spec.items() if d is None and k not in cfg.params]
@@ -175,8 +175,10 @@ def _as_direction(text) -> np.ndarray:
     if len(vals) != 2:
         raise CliError(f"e must have two components, got {text!r}")
     v = np.asarray(vals, dtype=float)
-    if not np.linalg.norm(v) > 0.0:
-        raise CliError("e must be a nonzero direction")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not 0.0 < norm < np.inf:
+        raise CliError(f"e must be a nonzero direction of finite norm, got {text!r}")
     return v
 
 
@@ -191,7 +193,9 @@ def _parse_domain(text: str):
     if kind == "ball":
         if len(parts) > 2:
             raise CliError("ball domain is spelled ball or ball:R")
-        r = _as_float(parts[1], "ball radius", lo=0.0) if len(parts) > 1 else 1.0
+        # squared coordinates overflow from R ~ 1e154; every command is clean at 1e50
+        r = (_as_float(parts[1], "ball radius", lo=0.0, hi=1e50, hi_open=False)
+             if len(parts) > 1 else 1.0)
         return kind, (r,), ball(np.zeros(2), r)
     if kind == "ellipsoid":
         if len(parts) != 2:

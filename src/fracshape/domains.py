@@ -7,7 +7,9 @@ have shape ``(..., 2)`` and values come back with shape ``(...,)``.
 Every boundary quantity read off the charts (samples, support values, radial
 extremes, distances, the moving-plane excess) uses one primitive: a uniform
 node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
-section within two node spacings of each (``polish``).
+section within two node spacings of each (``polish``).  ``chart_extreme``
+is that primitive for an extremum of a function of the boundary point, and
+serves support values, radial extremes and the coincidence sup.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .optim import coordinate_descent, golden_max, golden_min
+from .optim import golden_max, golden_min
 
 
 class DomainParameterError(ValueError):
@@ -69,12 +71,6 @@ class ImplicitDomain:
 
     def contains(self, pts) -> np.ndarray:
         return self.level(np.asarray(pts, dtype=float)) < 0.0
-
-
-@dataclass(frozen=True)
-class ShapeMetrics:
-    rho_shape: float
-    center: np.ndarray
 
 
 def box_corners(box: np.ndarray) -> np.ndarray:
@@ -373,6 +369,19 @@ def polish(fn, lo, hi, t0, spacing, maximize: bool):
     return (golden_max if maximize else golden_min)(fn, lo, hi)
 
 
+def chart_extreme(ch: Chart, g, m: int, k: int, maximize: bool):
+    """Extremum of ``g(point)`` along a chart: the ``k`` best of the chart's
+    ``m`` nodes, each polished.  The nodes are ranked by a stable sort, so
+    of tied nodes the first is taken.  Returns ``(t, value)``."""
+    t, pts, spacing = chart_nodes(ch, m)
+    v = np.asarray(g(pts), dtype=float)
+    best = np.argsort(-v if maximize else v, kind="stable")[:k]
+    tt, vals = polish(lambda u: g(np.asarray(ch.fn(u), dtype=float)), ch.lo, ch.hi,
+                      t[best], spacing, maximize)
+    i = int(np.argmax(vals) if maximize else np.argmin(vals))
+    return float(tt[i]), float(vals[i])
+
+
 def boundary_samples(d: ImplicitDomain, n: int = 4096) -> np.ndarray:
     """Deterministic midpoint samples of every boundary chart.
 
@@ -477,51 +486,16 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 
 
 # ---------------------------------------------------------------------------
-# shape metrics
-
-
-def _refined_extremes(d: ImplicitDomain, center: np.ndarray):
-    """(min, max) of |x - center| over the boundary, chart-refined."""
-    lo_best, hi_best = np.inf, -np.inf
-    m = max(256, 4096 // len(d.boundary_param))
-    for ch in d.boundary_param:
-        t, pts, spacing = chart_nodes(ch, m)
-        order = np.argsort(np.linalg.norm(pts - center, axis=-1))
-
-        def gap(tt, _fn=ch.fn):
-            return np.linalg.norm(np.asarray(_fn(tt), dtype=float) - center, axis=-1)
-
-        _, v_lo = polish(gap, ch.lo, ch.hi, t[order[:4]], spacing, maximize=False)
-        _, v_hi = polish(gap, ch.lo, ch.hi, t[order[-4:]], spacing, maximize=True)
-        lo_best = min(lo_best, float(np.min(v_lo)))
-        hi_best = max(hi_best, float(np.max(v_hi)))
-    return lo_best, hi_best
+# radial extremes
 
 
 def radial_extremes(d: ImplicitDomain):
-    """(rho_i, rho_e): nearest and farthest boundary point from the origin."""
-    return _refined_extremes(d, np.zeros(2))
+    """(rho_i, rho_e): nearest and farthest boundary point from the origin,
+    chart-refined."""
+    m = max(256, 4096 // len(d.boundary_param))
 
+    def radius(q):
+        return np.linalg.norm(q, axis=-1)
 
-def shape_metrics(d: ImplicitDomain) -> ShapeMetrics:
-    """Ball-sandwich gap of the domain: min over centres c of the annulus
-    width (circumradius - inradius) about c.
-
-    One coordinate descent from the boundary centroid finds the centre.
-    On a convex, centrally symmetric domain (a ball, a stretched ball) the
-    width is convex in c and even about the symmetry centre, which is the
-    centroid, so the descent starts at the exact minimizer and stays
-    there; on other domains the result is a local minimum.
-    """
-    if not d.boundary_param:
-        raise ProjectionError("shape metrics need a boundary parametrization")
-    samples = boundary_samples(d)
-
-    def objective(c):
-        r = np.linalg.norm(samples - c, axis=-1)
-        return float(r.max() - r.min())
-
-    diam = float(np.linalg.norm(d.bbox[1] - d.bbox[0]))
-    center, _ = coordinate_descent(objective, samples.mean(axis=0), step0=0.05 * diam)
-    r_in, r_out = _refined_extremes(d, center)
-    return ShapeMetrics(rho_shape=r_out - r_in, center=center)
+    return (min(chart_extreme(ch, radius, m, 4, maximize=False)[1] for ch in d.boundary_param),
+            max(chart_extreme(ch, radius, m, 4, maximize=True)[1] for ch in d.boundary_param))

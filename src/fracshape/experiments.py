@@ -4,9 +4,10 @@ Three scans tie the geometry, plane-sweep, and measure estimators
 together: the stretched-ball stability probe (seminorm against ball
 deviation), the bump-family critical-plane scaling, and the slab-measure
 sharpness table.  Rows of a scan are independent and computed in grid
-order.  The probe rows all search pairs with the budget's one seed; the
-scan and lemma rows sample at the derived seeds seed + i.  Re-running a
-config reproduces the table byte for byte.
+order.  The probe rows all search pairs with the budget's one seed.  Scan
+row i and the plane of lemma row i sample at the derived seed seed + i, and
+the slab of lemma row i at its j-th gamma at seed + 1000 i + j.  Re-running
+a config reproduces the table byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .domains import bump_domain, ellipsoid, radial_extremes, shape_metrics
+from .domains import bump_domain, ellipsoid, radial_extremes
 from .measures import slab_measure
 from .movingplanes import TAG_UNRESOLVED, critical_lambda
 from .seminorm import OptimBudget, ellipsoid_seminorm
@@ -90,6 +91,9 @@ def stability_probe(p: FracParams, eps_grid,
                     budget: Optional[OptimBudget] = None) -> ProbeResult:
     """Rows (eps, ball-deviation, boundary seminorm) over a stretch grid.
 
+    The ball deviation ``rho_shape`` is the annulus width rho_e - rho_i about
+    the origin, the stretched disk's centre.
+
     The fit regresses deviation on seminorm in log-log coordinates; slope
     near 1 is the linear-stability signature of this family.  Grids
     shorter than three rows get the table but no fit.
@@ -101,10 +105,9 @@ def stability_probe(p: FracParams, eps_grid,
         raise ParameterDomainError("stretch grid must lie inside (0, 1/4)")
     rows = []
     for eps in eps_list:
-        dom = ellipsoid(eps)
-        metrics = shape_metrics(dom)
+        rho_i, rho_e = radial_extremes(ellipsoid(eps))
         sem = ellipsoid_seminorm(p, eps, budget=budget)
-        rows.append({"eps": eps, "rho_shape": metrics.rho_shape,
+        rows.append({"eps": eps, "rho_shape": rho_e - rho_i,
                      "seminorm": sem.value,
                      "flag": "" if sem.converged else "seminorm-unconverged"})
     fit = None

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import ImplicitDomain, ProjectionError, chart_nodes, polish
+from .domains import ImplicitDomain, ProjectionError, chart_extreme, chart_nodes, polish
 
 TAG_TANGENCY = "internal-tangency"
 TAG_ORTHOGONAL = "boundary-orthogonality"
@@ -60,17 +60,8 @@ def support_value(d: ImplicitDomain, e) -> float:
         return float(d.support_fn(e))
     if not d.boundary_param:
         raise ProjectionError("support value needs a boundary parametrization")
-    best = -math.inf
-    for ch in d.boundary_param:
-        t, pts, spacing = chart_nodes(ch, 4096)
-
-        def height(tt, _fn=ch.fn):
-            return np.asarray(_fn(tt), dtype=float) @ e
-
-        _, v = polish(height, ch.lo, ch.hi, t[np.argsort(pts @ e)[-4:]], spacing,
-                      maximize=True)
-        best = max(best, float(np.max(v)))
-    return best
+    return max(chart_extreme(ch, lambda q: q @ e, 4096, 4, maximize=True)[1]
+               for ch in d.boundary_param)
 
 
 def _chart_grids(d: ImplicitDomain, seed: int):

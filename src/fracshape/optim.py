@@ -44,29 +44,3 @@ def golden_min(fn, lo, hi):
     arg, neg = golden_max(lambda t: -np.asarray(fn(t)), lo, hi)
     return arg, -neg
 
-
-def coordinate_descent(fn, x0, step0: float):
-    """Greedy per-coordinate descent with a halving step schedule.
-
-    Minimizes ``fn`` (scalar-valued, takes a 1d point) until the step falls
-    to 1e-10 or after 200 rounds.  Robust rather than fast; the
-    shape-metric objective it serves is cheap and only a few dimensions.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    best = float(fn(x))
-    step = float(step0)
-    rounds = 0
-    while step > 1e-10 and rounds < 200:
-        improved = False
-        for i in range(x.size):
-            for sgn in (+1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sgn * step
-                val = float(fn(trial))
-                if val < best - 1e-15:
-                    x, best = trial, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-        rounds += 1
-    return x, best

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import Chart, polish
+from .domains import Chart, chart_extreme
 from .frlap import torsion_ellipsoid
 from .measures import halton_points
 from .optim import golden_max
@@ -171,26 +171,20 @@ def lipschitz_seminorm(values, chart: Chart,
     return SeminormResult(value=value, pair=pair, converged=converged)
 
 
-def _coincidence_sup(rate, lo: float, hi: float):
-    """Max over [lo, hi] of a coincidence rate |d f(phi(t))/dt| / |phi'(t)|,
-    the limit of the pair quotient as both ends meet at t: the best node of
-    a midpoint grid, golden-polished.  Returns (value, t)."""
-    t = lo + (hi - lo) * (np.arange(_GRID) + 0.5) / _GRID
-    k = int(np.argmax(rate(t)))
-    t_star, value = polish(rate, lo, hi, t[k], (hi - lo) / _GRID, maximize=True)
-    return value, t_star
-
-
 def _closed_form_seminorm(values, chart: Chart, rate,
                           budget: Optional[OptimBudget]) -> SeminormResult:
     """Seminorm of ``values`` along ``chart`` whose sup is the coincidence
-    limit of ``rate``: the larger of that closed form and the best pair's
+    limit of ``rate``: ``rate(t)`` = |d f(phi(t))/dt| / |phi'(t)| is the
+    limit of the pair quotient as both ends meet at t, and its max over the
+    chart range, read off a grid in t itself (an identity chart), is the
+    closed form.  The result is the larger of that closed form and the best pair's
     quotient less its rounding allowance (``_ROUNDING_ULPS`` of its larger
     field value, over its chord).  Unconverged only when the pair wins by
     more than ``_MARGIN``: an off-diagonal maximizer needs a real search.
     When the closed form wins, the pair reported is its maximizer, twice.
     """
-    closed, t = _coincidence_sup(rate, chart.lo, chart.hi)
+    t, closed = chart_extreme(Chart(lambda r: r, chart.lo, chart.hi), rate, _GRID, 1,
+                              maximize=True)
     res = lipschitz_seminorm(values, chart, budget)
     fx, fy = (float(values(x)) for x in res.pair)
     allowance = _ROUNDING_ULPS * float(np.spacing(max(abs(fx), abs(fy))))

@@ -24,11 +24,15 @@ def gamma(x: float) -> float:
 
     Relative accuracy is that of the platform libm (well below 1e-12 on
     [0.1, 50], which is the range the torsion constants actually use).
+    Above x ~ 171.6 the value overflows a float, which is rejected too.
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
         raise GammaPoleError(f"gamma has a pole at x={x:g}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError as exc:
+        raise ParameterDomainError(f"gamma overflows a float at x={x:g}") from exc
 
 
 # Hard cap on series length; the supported regime |z| < 1 converges long

@@ -64,6 +64,10 @@ class TestErrors:
         ("torsion-check", "--domain", "ellipsoid:x"),
         ("torsion-check", "--domain", "bump:1e-3"),
         ("critical-plane", "--domain", "ball:1:junk"),
+        ("critical-plane", "--domain", "ball", "--seed", "-1"),
+        ("critical-plane", "--domain", "ball", "--e", "1e308,1e308"),  # norm overflows
+        ("constants", "--n", "400"),                  # gamma(200.5) overflows
+        ("critical-plane", "--domain", "ball:1e300"),  # squared coordinates overflow
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -130,6 +134,7 @@ class TestRunConfig:
         {"command": "constants", "params": 5},
         {"seed": [1]},
         {"seed": 1.5},
+        {"seed": -1},
     ])
     def test_malformed_config_exits_two(self, capsys, tmp_path, raw):
         cfg_file = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape.domains import (DomainParameterError, _ellipse_axis_distance,
+from fracshape import seminorm
+from fracshape.domains import (Chart, DomainParameterError, _ellipse_axis_distance,
                                _ellipse_distance, ball, boundary_distance,
                                boundary_samples, bump_domain, bump_profile,
-                               ellipsoid, erode, odd_cutoff, radial_extremes,
-                               shape_metrics, signed_distance)
+                               chart_extreme, chart_nodes, ellipsoid, erode,
+                               odd_cutoff, polish, radial_extremes, signed_distance)
 from fracshape.measures import halton_points
+from fracshape.movingplanes import support_value
+from fracshape.specfun import FracParams
 
 
 # Signed distances to the ellipse x^2/1.1^2 + y^2 = 1, frozen from projection
@@ -74,6 +78,101 @@ _ANYWHERE = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
     lambda xy: ("xy", xy[0], xy[1]))
 
 
+# Test-local copies of the three loops that chart_extreme replaced: each
+# ranks a chart's nodes, polishes the best ones and keeps the best polish.
+
+def _loop_support(d, e):
+    e = np.asarray(e, dtype=float) / float(np.linalg.norm(e))
+    best = -math.inf
+    for ch in d.boundary_param:
+        t, pts, spacing = chart_nodes(ch, 4096)
+
+        def height(tt, _fn=ch.fn):
+            return np.asarray(_fn(tt), dtype=float) @ e
+
+        _, v = polish(height, ch.lo, ch.hi, t[np.argsort(pts @ e)[-4:]], spacing,
+                      maximize=True)
+        best = max(best, float(np.max(v)))
+    return best
+
+
+def _loop_radial_extremes(d):
+    lo_best, hi_best = np.inf, -np.inf
+    m = max(256, 4096 // len(d.boundary_param))
+    for ch in d.boundary_param:
+        t, pts, spacing = chart_nodes(ch, m)
+        order = np.argsort(np.linalg.norm(pts, axis=-1))
+
+        def gap(tt, _fn=ch.fn):
+            return np.linalg.norm(np.asarray(_fn(tt), dtype=float), axis=-1)
+
+        _, v_lo = polish(gap, ch.lo, ch.hi, t[order[:4]], spacing, maximize=False)
+        _, v_hi = polish(gap, ch.lo, ch.hi, t[order[-4:]], spacing, maximize=True)
+        lo_best = min(lo_best, float(np.min(v_lo)))
+        hi_best = max(hi_best, float(np.max(v_hi)))
+    return lo_best, hi_best
+
+
+def _loop_coincidence_sup(rate, lo, hi, grid=2048):
+    t = lo + (hi - lo) * (np.arange(grid) + 0.5) / grid
+    k = int(np.argmax(rate(t)))
+    t_star, value = polish(rate, lo, hi, t[k], (hi - lo) / grid, maximize=True)
+    return float(t_star), float(value)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+_EXTREME_DOMAINS = {
+    "ball": lambda: ball((0.0, 0.0), 1.0),
+    "ellipsoid:0.1": lambda: ellipsoid(0.1),
+    "bump:1e-3": lambda: bump_domain(1e-3, 2.0),
+}
+_STRETCHED_BALL_ROWS = [(s, eps) for s in (0.25, 0.5, 0.75)
+                        for eps in (0.02, 0.01, 0.005)] + [(0.5, 1e-9)]
+
+
+class TestChartExtreme:
+
+    @pytest.mark.parametrize("name", sorted(_EXTREME_DOMAINS))
+    def test_support_value_keeps_the_loop_bits(self, name):
+        # without its closed form the support value is read off the charts
+        d = dataclasses.replace(_EXTREME_DOMAINS[name](), support_fn=None)
+        for e in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0),
+                  (0.3, -1.0), (-0.6, 0.8), (1.0, 0.2)]:
+            assert _hex([support_value(d, e)]) == _hex([_loop_support(d, e)]), e
+
+    @pytest.mark.parametrize("name", sorted(_EXTREME_DOMAINS))
+    def test_radial_extremes_keep_the_loop_bits(self, name):
+        d = _EXTREME_DOMAINS[name]()
+        assert _hex(radial_extremes(d)) == _hex(_loop_radial_extremes(d))
+
+    @pytest.mark.parametrize("s, eps", _STRETCHED_BALL_ROWS)
+    def test_coincidence_sup_keeps_the_loop_bits(self, s, eps):
+        # the rate is even in r: the grid's mirror nodes tie exactly
+        p = FracParams(2, s)
+
+        def rate(r):
+            return seminorm._torsion_rate(p, eps, r)
+
+        got = chart_extreme(Chart(lambda r: r, -1.0, 1.0), rate, 2048, 1, maximize=True)
+        assert _hex(got) == _hex(_loop_coincidence_sup(rate, -1.0, 1.0))
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_first_of_tied_nodes_wins(self, maximize):
+        # two exact mirror extrema at t = -1/2 and 1/2 on a grid symmetric about 0
+        sign = -1.0 if maximize else 1.0
+        chart = Chart(lambda r: r, -1.0, 1.0)
+        t, pts, _ = chart_nodes(chart, 64)
+        v = sign * (pts * pts - 0.25) ** 2
+        assert np.array_equal(v, v[::-1])
+        t_star, value = chart_extreme(chart, lambda r: sign * (r * r - 0.25) ** 2, 64, 1,
+                                      maximize)
+        assert t_star == pytest.approx(-0.5, abs=1e-8)
+        assert abs(value) <= 1e-15
+
+
 class TestBall:
 
     def test_sdf_is_radial(self):
@@ -117,10 +216,9 @@ class TestEllipsoid:
 
     @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005, 1e-9])
     def test_shape_metrics_recover_stretch(self, eps):
-        # the centroid start is the exact centre, so the gap is the stretch
-        m = shape_metrics(ellipsoid(eps))
-        assert abs(m.rho_shape - eps) <= 1e-12
-        assert np.linalg.norm(m.center) <= 1e-12
+        # the probe's rho_shape: the annulus width about the centre, the origin
+        rho_i, rho_e = radial_extremes(ellipsoid(eps))
+        assert abs((rho_e - rho_i) - eps) <= 1e-12
 
     def test_stretch_range(self):
         with pytest.raises(DomainParameterError):

@@ -59,6 +59,11 @@ class TestGamma:
         with pytest.raises(GammaPoleError):
             gamma(x)
 
+    def test_overflow_raises(self):
+        with pytest.raises(ParameterDomainError, match="x=172"):
+            gamma(172.0)
+        assert gamma(171.5) == math.gamma(171.5)  # the largest values keep their bits
+
     @given(st.floats(min_value=0.01, max_value=20.0))
     def test_recurrence(self, x):
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
