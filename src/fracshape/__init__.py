@@ -6,8 +6,8 @@ from .specfun import (FracParams, GammaPoleError, ParameterDomainError,
                       normalization_constant)
 from .domains import (Chart, DiskDeviation, DomainParameterError,
                       ImplicitDomain, ProjectionError, ball, boundary_distance,
-                      boundary_samples, bump_domain, ellipsoid, erode,
-                      radial_extremes, signed_distance)
+                      bump_domain, ellipsoid, erode, radial_extremes,
+                      signed_distance)
 from .frlap import (EvaluationPointError, FrlapResult, QuadratureConfig,
                     ScalarField, UnsupportedDimensionError, barrier,
                     frlap_eval, power_field, torsion_ball, torsion_ellipsoid)

@@ -325,7 +325,8 @@ def _cmd_boundary_integral(cfg):
     s = _as_s(cfg.params["s"])
     n = _as_int(cfg.params["n"], "n", lo=100)
     est = boundary_weighted_integral(dom, s, n, seed=cfg.seed)
-    return _emit(cfg, {"value": est.value, "error": est.error, "method": est.method})
+    return _emit(cfg, {"value": est.value, "error": est.error, "method": est.method,
+                       "n_samples": est.n_samples})
 
 
 def _cmd_counterexample_scan(cfg):

@@ -4,8 +4,8 @@ Domains are planar and level-set based (negative inside).  All callables
 stored on a domain are vectorized over a trailing coordinate axis: points
 have shape ``(..., 2)`` and values come back with shape ``(...,)``.
 
-Every boundary quantity read off the charts (samples, support values, radial
-extremes, distances, the moving-plane excess) uses one primitive: a uniform
+Every boundary quantity read off the charts (support values, radial extremes,
+distances, the moving-plane excess) uses one primitive: a uniform
 node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
 section within two node spacings of each (``polish``).  ``chart_extreme``
 is that primitive for an extremum of a function of the boundary point, and
@@ -380,18 +380,6 @@ def chart_extreme(ch: Chart, g, m: int, k: int, maximize: bool):
                       t[best], spacing, maximize)
     i = int(np.argmax(vals) if maximize else np.argmin(vals))
     return float(tt[i]), float(vals[i])
-
-
-def boundary_samples(d: ImplicitDomain, n: int = 4096) -> np.ndarray:
-    """Deterministic midpoint samples of every boundary chart.
-
-    Dense charts receive a 4x allocation.  The total can exceed ``n``
-    slightly; callers treat this as "at least n" coverage.
-    """
-    if not d.boundary_param:
-        raise ProjectionError("domain has no boundary parametrization to sample")
-    m = max(64, n // len(d.boundary_param))
-    return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param], axis=0)
 
 
 def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:

@@ -2,14 +2,18 @@
 and the boundary-weighted singular integral.
 
 Sampling is scrambled-Halton, seed-indexed, so every estimate is
-bit-reproducible.  Each estimate evaluates its integrand f once, on the n
-points of one Halton stream, and reports their mean with the bar
+bit-reproducible.  A volume or slab estimate evaluates its integrand f once,
+on the n points of one Halton stream, and reports their mean with the bar
 3 sigma_f / sqrt(n), where sigma_f^2 = Var f(U).  The variance of those
 same n values, mean(f^2) - mean(f)^2, is itself a QMC estimate of
 sigma_f^2, so no second draw is needed.  The bar is the plain Monte Carlo
-scale, not a calibrated error of the QMC mean.  Whenever a domain certifies
-where it deviates from a centered disk, the slab estimator splits off the
-disk part in closed form and only samples the small deviation box.
+scale, not a calibrated error of the QMC mean.  The boundary-weighted
+integral draws 13 shell streams, shell k at seed ``seed + k``, and
+evaluates their points together in blocks of ``_BLOCK`` points; each
+shell's mean and bar come from its own slice of the values.  Whenever a
+domain certifies where it deviates from a centered disk, the slab estimator
+splits off the disk part in closed form and only samples the small
+deviation box.
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ import numpy as np
 
 from .domains import ImplicitDomain, boundary_distance, box_corners, radial_extremes
 from .movingplanes import CriticalPlaneResult, reflect
+
+# Most points the boundary-weighted integral sends through its integrand at
+# once: the chart distance search holds a few arrays of this many points.
+_BLOCK = 4096
 
 
 class MeasureParameterError(ValueError):
@@ -84,12 +92,17 @@ def _box_volume(box: np.ndarray) -> float:
     return float(np.prod(box[1] - box[0]))
 
 
-def _mean_3sigma(pred, box: np.ndarray, n: int, seed: int):
-    """QMC mean of ``pred`` over the box and its 3 sigma / sqrt(n) bar, both
-    from the same ``n`` values."""
+def _draw(box: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` scrambled Halton points of this seed, mapped onto the box."""
     lo, hi = box[0], box[1]
-    vals = np.asarray(pred(lo + (hi - lo) * halton_points(n, lo.size, seed)), dtype=float)
-    return float(np.mean(vals)), 3.0 * math.sqrt(float(np.var(vals)) / n)
+    return lo + (hi - lo) * halton_points(n, lo.size, seed)
+
+
+def _mean_3sigma(vals):
+    """QMC mean of the integrand values and their 3 sigma / sqrt(n) bar, both
+    from the same ``n`` values."""
+    vals = np.asarray(vals, dtype=float)
+    return float(np.mean(vals)), 3.0 * math.sqrt(float(np.var(vals)) / vals.size)
 
 
 def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
@@ -98,7 +111,7 @@ def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
         raise MeasureParameterError(f"sample count must be >= 1, got {n!r}")
     box = np.asarray(box, dtype=float)
     vol = _box_volume(box)
-    mean, bar = _mean_3sigma(pred, box, n, seed)
+    mean, bar = _mean_3sigma(pred(_draw(box, n, seed)))
     return MeasureEstimate(value=vol * mean, error=vol * bar, method="monte-carlo",
                            n_samples=n)
 
@@ -185,7 +198,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
             g = (in_disk ^ in_disk_r).astype(float)
             return in_band(pts) * (f - g)
 
-        mean, bar = _mean_3sigma(correction, region, n, seed)
+        mean, bar = _mean_3sigma(correction(_draw(region, n, seed)))
         area = _box_volume(region)
         return MeasureEstimate(value=base + area * mean, error=area * bar + err_geom,
                                method="monte-carlo", n_samples=n)
@@ -211,7 +224,8 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     Stratified in 13 geometric shells hugging the circle.  The ratio grows
     without bound at the circle (the gap vanishes, the numerator does not),
     so the innermost shell uses a t^(-s) importance map in the radial gap
-    to keep the weighted integrand bounded.
+    to keep the weighted integrand bounded.  All shells' points go through
+    the integrand together, ``_BLOCK`` at a time.
     """
     if not 0.0 < s < 1.0:
         raise MeasureParameterError(f"exponent must lie in (0, 1), got {s!r}")
@@ -224,33 +238,33 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
 
     n_shells = 13
     per = max(16, n // n_shells)
-    unit_square = np.array([[0.0, 0.0], [1.0, 1.0]])
-    total, bar_sq = 0.0, 0.0
-
-    def weighted(t, theta):
-        r = 1.0 + t
-        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        delta_dom = np.asarray(boundary_distance(d, pts), dtype=float)
-        ratio = delta_dom / np.maximum(t, 1e-300)
-        inside = d.contains(pts)
-        return np.where(inside, pts[..., 0] * ratio ** s, 0.0) * r
-
+    t, theta = np.empty(n_shells * per), np.empty(n_shells * per)
+    jacs = []
     for k in range(n_shells):
+        uu = halton_points(per, 2, seed + k)
+        sl = slice(k * per, (k + 1) * per)
         t_hi = h * 2.0 ** (-k)
-        t_lo = 0.0 if k == n_shells - 1 else h * 2.0 ** (-k - 1)
+        if k == n_shells - 1:
+            # Importance map concentrates radial samples at the circle.
+            t[sl] = t_hi * uu[:, 0] ** (1.0 / (1.0 - s))
+            jacs.append(t_hi * uu[:, 0] ** (s / (1.0 - s)) / (1.0 - s))
+        else:
+            t_lo = h * 2.0 ** (-k - 1)
+            t[sl] = t_lo + (t_hi - t_lo) * uu[:, 0]
+            jacs.append(t_hi - t_lo)
+        theta[sl] = -0.5 * math.pi + math.pi * uu[:, 1]
 
-        def shell_vals(uu):
-            theta = -0.5 * math.pi + math.pi * uu[:, 1]
-            if k == n_shells - 1:
-                # Importance map concentrates radial samples at the circle.
-                tt = t_hi * uu[:, 0] ** (1.0 / (1.0 - s))
-                jac = t_hi * uu[:, 0] ** (s / (1.0 - s)) / (1.0 - s)
-            else:
-                tt = t_lo + (t_hi - t_lo) * uu[:, 0]
-                jac = t_hi - t_lo
-            return weighted(tt, theta) * jac * math.pi
+    weighted = np.empty(t.size)
+    for i in range(0, t.size, _BLOCK):
+        b = slice(i, i + _BLOCK)
+        r = 1.0 + t[b]
+        pts = np.stack([r * np.cos(theta[b]), r * np.sin(theta[b])], axis=-1)
+        ratio = boundary_distance(d, pts) / np.maximum(t[b], 1e-300)
+        weighted[b] = np.where(d.contains(pts), pts[:, 0] * ratio ** s, 0.0) * r
 
-        mean, bar = _mean_3sigma(shell_vals, unit_square, per, seed + k)
+    total, bar_sq = 0.0, 0.0
+    for k, jac in enumerate(jacs):
+        mean, bar = _mean_3sigma(weighted[k * per:(k + 1) * per] * jac * math.pi)
         total += mean
         bar_sq += bar * bar
     return MeasureEstimate(value=total, error=math.sqrt(bar_sq), method="monte-carlo",

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from fracshape.domains import (ball, boundary_distance, boundary_samples,
-                               bump_domain, ellipsoid, erode, signed_distance)
+from fracshape.domains import (ball, boundary_distance, bump_domain, chart_nodes,
+                               ellipsoid, erode, signed_distance)
 from fracshape.experiments import (counterexample_scan, exponent_fit,
                                    geometric_lemma_check)
 from fracshape.frlap import (QuadratureConfig, barrier, frlap_eval,
@@ -23,6 +23,14 @@ from fracshape.movingplanes import CriticalPlaneResult
 from fracshape.seminorm import (ellipsoid_ratio_limit, ellipsoid_seminorm_ratio,
                                 phi0_quotient_sup, richardson_limit)
 from fracshape.specfun import FracParams, gamma_ns
+
+
+def boundary_samples(d, n):
+    """Midpoint nodes of every boundary chart, at least ``n`` in all: a chart
+    gets ``max(64, n // charts)`` nodes, a dense chart four times as many."""
+    m = max(64, n // len(d.boundary_param))
+    return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param])
+
 
 BOX = np.array([[-1.0, -1.0], [1.0, 1.0]])
 

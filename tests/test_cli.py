@@ -249,7 +249,18 @@ class TestResultShapes:
         assert set(slab["slab"]) == {"value", "error", "method", "n_samples"}
         integral = run_json(capsys, "boundary-integral", "--domain", "ball:1.05",
                             "--n", "1000")["results"]
-        assert set(integral) == {"value", "error", "method"}
+        assert set(integral) == {"value", "error", "method", "n_samples"}
+
+    @pytest.mark.parametrize("domain, n, evaluated", [
+        ("bump:1e-3", "4000", 3991),  # 13 shells of 4000 // 13 = 307 points
+        ("bump:1e-3", "100", 208),  # 13 shells of at least 16 points
+        ("ball", "1000", 0),  # nothing sticks out of the unit disk
+    ])
+    def test_boundary_integral_reports_the_points_it_evaluated(
+            self, capsys, domain, n, evaluated):
+        integral = run_json(capsys, "boundary-integral", "--domain", domain,
+                            "--n", n)["results"]
+        assert integral["n_samples"] == evaluated
 
 
 class TestArtifacts:

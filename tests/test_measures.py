@@ -6,7 +6,8 @@ import pytest
 from scipy.special import roots_jacobi
 
 from fracshape import measures
-from fracshape.domains import ball, boundary_distance, bump_domain, ellipsoid
+from fracshape.domains import (ball, boundary_distance, bump_domain, ellipsoid,
+                               radial_extremes)
 from fracshape.measures import (MeasureEstimate, MeasureParameterError,
                                 boundary_weighted_integral, halton_points,
                                 mc_volume, slab_measure, sym_diff_measure)
@@ -129,6 +130,45 @@ class TestSlabMeasure:
                 slab_measure(d, res, g, 1000)
 
 
+BWI_DOMAINS = {
+    "bump:1e-3": lambda: bump_domain(1e-3, 2.0),
+    "bump:1e-2": lambda: bump_domain(1e-2, 2.0),
+    "ellipsoid": lambda: ellipsoid(0.1),
+    "ball": lambda: ball((0.0, 0.0), 1.05),
+}
+
+
+def per_shell_integral(d, s, n, seed):
+    """The boundary-weighted integral as one integrand call per shell, each
+    shell reduced on its own array: the reference the blocked estimator must
+    match bit for bit."""
+    h = radial_extremes(d)[1] - 1.0
+    h *= 1.0 + 1e-9
+    per = max(16, n // 13)
+    total, bar_sq = 0.0, 0.0
+    for k in range(13):
+        uu = halton_points(per, 2, seed + k)
+        t_hi = h * 2.0 ** (-k)
+        t_lo = 0.0 if k == 12 else h * 2.0 ** (-k - 1)
+        theta = -0.5 * math.pi + math.pi * uu[:, 1]
+        if k == 12:
+            t = t_hi * uu[:, 0] ** (1.0 / (1.0 - s))
+            jac = t_hi * uu[:, 0] ** (s / (1.0 - s)) / (1.0 - s)
+        else:
+            t = t_lo + (t_hi - t_lo) * uu[:, 0]
+            jac = t_hi - t_lo
+        r = 1.0 + t
+        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        ratio = np.asarray(boundary_distance(d, pts), dtype=float) / np.maximum(t, 1e-300)
+        weighted = np.where(d.contains(pts), pts[..., 0] * ratio ** s, 0.0) * r
+        vals = weighted * jac * math.pi
+        total += float(np.mean(vals))
+        bar = 3.0 * math.sqrt(float(np.var(vals)) / per)
+        bar_sq += bar * bar
+    return MeasureEstimate(value=total, error=math.sqrt(bar_sq), method="monte-carlo",
+                           n_samples=13 * per)
+
+
 class TestBoundaryWeightedIntegral:
 
     @pytest.mark.parametrize("s, h", [(0.5, 0.05), (0.25, 0.02)])
@@ -161,9 +201,32 @@ class TestBoundaryWeightedIntegral:
             return boundary_distance(d, pts)
 
         monkeypatch.setattr(measures, "boundary_distance", counting)
-        est = boundary_weighted_integral(bump_domain(1e-2, 2.0), 0.5, 1300, seed=0)
-        assert len(seen) == 13
-        assert sum(seen) == est.n_samples == 1300
+        d = bump_domain(1e-2, 2.0)
+        est = boundary_weighted_integral(d, 0.5, 1300, seed=0)
+        assert seen == [1300] and est.n_samples == 1300
+
+        # 13 shells of 4615 points: more than one block, and a shell spans two
+        seen.clear()
+        est = boundary_weighted_integral(d, 0.5, 60_000, seed=0)
+        assert len(seen) > 1 and max(seen) <= measures._BLOCK == 4096
+        assert sum(seen) == est.n_samples == 59_995
+
+    @pytest.mark.parametrize("dom", ["bump:1e-3", "bump:1e-2", "ellipsoid", "ball"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [100, 1300, 4000])
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_blocks_keep_the_per_shell_bits(self, dom, seed, n, s):
+        d = BWI_DOMAINS[dom]()
+        got = boundary_weighted_integral(d, s, n, seed=seed)
+        want = per_shell_integral(d, s, n, seed)
+        assert (got.value.hex(), got.error.hex()) == (want.value.hex(), want.error.hex())
+        assert got.n_samples == want.n_samples
+
+    def test_a_shell_split_across_blocks_keeps_its_bits(self):
+        d = bump_domain(1e-3, 2.0)
+        got = boundary_weighted_integral(d, 0.5, 60_000, seed=0)
+        want = per_shell_integral(d, 0.5, 60_000, 0)
+        assert (got.value.hex(), got.error.hex()) == (want.value.hex(), want.error.hex())
 
     def test_exponent_validation(self):
         d = ball((0.0, 0.0), 1.1)
