@@ -6,9 +6,9 @@ file names derive from a content hash of {command, params, seed}, and
 re-running the same config reproduces every output byte.  Failures print
 a machine-readable JSON object ``{"error", "command"}`` on standard error
 and exit with status 2 for invalid input (a bad flag, an unreadable file or
-a parameter the library rejects), 3 for a numerical failure (a boundary
-projection that misses its residual tolerance, for instance), or 4 for any
-other error, which is a fault of the program.
+a ``ParameterDomainError`` from the library), 3 for a numerical failure (a
+``ProjectionError``, for instance), or 4 for any other error, which is a
+fault of the program.
 """
 
 from __future__ import annotations
@@ -21,18 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .domains import (DomainParameterError, ball, bump_domain, boundary_distance,
-                      ellipsoid)
+from .domains import ball, bump_domain, boundary_distance, ellipsoid
 from .experiments import (LEMMA_FIELDS, PROBE_FIELDS, SCAN_FIELDS, config_hash,
                           counterexample_scan, geometric_lemma_check,
                           stability_probe, write_table)
-from .frlap import (EvaluationPointError, UnsupportedDimensionError, frlap_eval,
-                    torsion_ball, torsion_ellipsoid)
-from .measures import (MeasureParameterError, boundary_weighted_integral,
-                       halton_points, slab_measure)
+from .frlap import frlap_eval, torsion_ball, torsion_ellipsoid
+from .measures import boundary_weighted_integral, halton_points, slab_measure
 from .movingplanes import critical_lambda, to_record
 from .seminorm import OptimBudget, ellipsoid_ratio_limit, ellipsoid_seminorm
-from .specfun import FracParams, GammaPoleError, ParameterDomainError, gamma_ns
+from .specfun import FracParams, ParameterDomainError, gamma_ns
 
 
 class CliError(ValueError):
@@ -40,9 +37,7 @@ class CliError(ValueError):
 
 
 # errors that mean invalid input (exit 2); any other ValueError is a fault
-_INPUT_ERRORS = (CliError, OSError, ParameterDomainError, GammaPoleError,
-                 DomainParameterError, MeasureParameterError, EvaluationPointError,
-                 UnsupportedDimensionError)
+_INPUT_ERRORS = (CliError, OSError, ParameterDomainError)
 
 
 @dataclass
@@ -139,15 +134,15 @@ def _collect_config(args) -> RunConfig:
 # decimal-string parsing with range checks
 
 
-def _as_float(text, name, lo=None, hi=None, lo_open=True, hi_open=True) -> float:
+def _as_float(text, name, lo=None, hi=None, hi_open=True) -> float:
     try:
         v = float(str(text))
     except ValueError as exc:
         raise CliError(f"{name} is not a number: {text!r}") from exc
     if not np.isfinite(v):
         raise CliError(f"{name} must be finite, got {text!r}")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        raise CliError(f"{name}={text} out of range (must be {'>' if lo_open else '>='} {lo})")
+    if lo is not None and v <= lo:
+        raise CliError(f"{name}={text} out of range (must be > {lo})")
     if hi is not None and (v >= hi if hi_open else v > hi):
         raise CliError(f"{name}={text} out of range (must be {'<' if hi_open else '<='} {hi})")
     return v
@@ -331,7 +326,7 @@ def _cmd_boundary_integral(cfg):
 
 def _cmd_counterexample_scan(cfg):
     alpha = _as_float(cfg.params["alpha"], "alpha", lo=1.0)
-    gamma = _as_float(cfg.params["gamma"], "gamma", lo=0.0, hi=0.25)
+    gamma = _as_float(cfg.params["gamma"], "gamma", lo=0.0, hi=0.25, hi_open=False)
     tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
     n = _as_int(cfg.params["n"], "n", lo=100)
     eps = _as_float_list(cfg.params["eps"], "eps", lo=0.0, hi=0.05, hi_open=False)

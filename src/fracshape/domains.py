@@ -21,10 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .optim import golden_max, golden_min
-
-
-class DomainParameterError(ValueError):
-    """Invalid geometric parameters (radius, stretch, bump size...)."""
+from .specfun import ParameterDomainError
 
 
 class ProjectionError(RuntimeError):
@@ -86,7 +83,7 @@ def ball(center, r) -> ImplicitDomain:
     center = np.atleast_1d(np.asarray(center, dtype=float))
     rf = float(r)
     if not rf > 0.0:
-        raise DomainParameterError(f"ball radius must be positive, got {r!r}")
+        raise ParameterDomainError(f"ball radius must be positive, got {r!r}")
 
     def sdf(pts):
         pts = np.asarray(pts, dtype=float)
@@ -197,7 +194,7 @@ def ellipsoid(eps) -> ImplicitDomain:
     """Unit disk stretched by 1+eps along the first axis."""
     epsf = float(eps)
     if not 0.0 <= epsf < 0.25:
-        raise DomainParameterError(f"ellipsoid stretch restricted to [0, 1/4), got {eps!r}")
+        raise ParameterDomainError(f"ellipsoid stretch restricted to [0, 1/4), got {eps!r}")
     a = 1.0 + epsf
 
     def level(pts):
@@ -290,13 +287,13 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
     epsf = float(eps)
     alphaf = float(alpha)
     if not alphaf > 1.0:
-        raise DomainParameterError(f"bump aspect exponent must exceed 1, got {alpha!r}")
+        raise ParameterDomainError(f"bump aspect exponent must exceed 1, got {alpha!r}")
     if not 0.0 < epsf <= 0.05:
-        raise DomainParameterError(f"bump height restricted to (0, 0.05], got {eps!r}")
+        raise ParameterDomainError(f"bump height restricted to (0, 0.05], got {eps!r}")
     center = epsf ** (1.0 - 1.0 / alphaf)
     width = epsf ** (1.0 / alphaf)
     if center + width >= 0.5:
-        raise DomainParameterError(
+        raise ParameterDomainError(
             f"bump support [{center - width:.3g}, {center + width:.3g}] leaves the strip; "
             "reduce eps")
     psi = bump_profile(epsf, alphaf)
@@ -440,9 +437,9 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
     """
     rhof = float(rho)
     if d.interior_ball_radius is None:
-        raise DomainParameterError("erosion needs a known interior ball radius")
+        raise ParameterDomainError("erosion needs a known interior ball radius")
     if not 0.0 < rhof < d.interior_ball_radius:
-        raise DomainParameterError(
+        raise ParameterDomainError(
             f"erosion depth must lie in (0, {d.interior_ball_radius:g}), got {rho!r}")
 
     def level(pts):

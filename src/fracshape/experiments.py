@@ -26,6 +26,9 @@ from .movingplanes import TAG_UNRESOLVED, critical_lambda
 from .seminorm import OptimBudget, ellipsoid_seminorm
 from .specfun import FracParams, ParameterDomainError
 
+# annulus widths (rho_shape, gap) at or below this are rounding residue
+_ROUNDING_WIDTH = 1e-12
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -37,21 +40,23 @@ class FitResult:
     points: tuple
 
 
-def exponent_fit(points) -> FitResult:
-    """Fit a line through (log x, log y).
+def exponent_fit(points) -> Optional[FitResult]:
+    """Fit a line through (log x, log y); no fit (None) below three distinct x.
 
-    Needs at least three strictly positive points; fewer would make the
-    reported r2 meaningless.
+    Two distinct x fit any data exactly (r2 would mean nothing); log x that
+    coincide in floats leave no slope.  Coordinates must be positive.
     """
     pts = tuple((float(x), float(y)) for x, y in points)
-    if len(pts) < 3:
-        raise ValueError(f"power-law fit needs >= 3 points, got {len(pts)}")
-    if any(x <= 0.0 or y <= 0.0 for x, y in pts):
-        raise ValueError("power-law fit needs strictly positive coordinates")
+    if len({x for x, _ in pts}) < 3:
+        return None
+    if not all(x > 0.0 and y > 0.0 for x, y in pts):
+        raise ParameterDomainError("power-law fit needs strictly positive coordinates")
     lx = np.log([x for x, _ in pts])
     ly = np.log([y for _, y in pts])
     design = np.stack([lx, np.ones_like(lx)], axis=-1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
+    (slope, intercept), _, rank, _ = np.linalg.lstsq(design, ly, rcond=None)
+    if rank < 2:
+        return None
     resid = ly - (slope * lx + intercept)
     ss_res = float(resid @ resid)
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
@@ -95,26 +100,24 @@ def stability_probe(p: FracParams, eps_grid,
     the origin, the stretched disk's centre.
 
     The fit regresses deviation on seminorm in log-log coordinates; slope
-    near 1 is the linear-stability signature of this family.  Grids
-    shorter than three rows get the table but no fit.
+    near 1 is the linear-stability signature of this family.  Flagged rows
+    (an unconverged seminorm, or ``shape-below-resolution``: ``rho_shape``
+    at rounding level) stay out of it.
     """
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:
         raise ParameterDomainError("empty stretch grid")
-    if not all(0.0 < e < 0.25 for e in eps_list):
-        raise ParameterDomainError("stretch grid must lie inside (0, 1/4)")
     rows = []
     for eps in eps_list:
         rho_i, rho_e = radial_extremes(ellipsoid(eps))
         sem = ellipsoid_seminorm(p, eps, budget=budget)
+        flags = [] if sem.converged else ["seminorm-unconverged"]
+        if rho_e - rho_i <= _ROUNDING_WIDTH:
+            flags.append("shape-below-resolution")
         rows.append({"eps": eps, "rho_shape": rho_e - rho_i,
-                     "seminorm": sem.value,
-                     "flag": "" if sem.converged else "seminorm-unconverged"})
-    fit = None
-    clean = [r for r in rows if not r["flag"]]
-    if len(clean) >= 3:
-        fit = exponent_fit([(r["seminorm"], r["rho_shape"]) for r in clean])
-    return ProbeResult(rows=tuple(rows), fit=fit)
+                     "seminorm": sem.value, "flag": "+".join(flags)})
+    clean = [(r["seminorm"], r["rho_shape"]) for r in rows if not r["flag"]]
+    return ProbeResult(rows=tuple(rows), fit=exponent_fit(clean))
 
 
 # ---------------------------------------------------------------------------
@@ -149,30 +152,22 @@ def counterexample_scan(alpha: float, eps_grid, gamma: float, tol: float = 1e-8,
     offset falls within 100x of the sweep tolerance are flagged and kept
     out of the fits.
     """
-    alphaf = float(alpha)
-    gammaf = float(gamma)
-    if not alphaf > 1.0:
-        raise ParameterDomainError(f"bump aspect exponent must exceed 1, got {alpha!r}")
-    if not 0.0 < gammaf < 0.25:
-        raise ParameterDomainError(f"slab half-width restricted to (0, 1/4), got {gamma!r}")
     eps_list = [float(e) for e in eps_grid]
     if not eps_list:
         raise ParameterDomainError("empty bump-height grid")
     rows = []
     for i, eps in enumerate(eps_list):
-        dom = bump_domain(eps, alphaf)
+        dom = bump_domain(eps, alpha)
         res = critical_lambda(dom, _SWEEP, tol=tol, seed=seed + i)
-        est = slab_measure(dom, res, gammaf, n_slab, seed=seed + i)
+        est = slab_measure(dom, res, float(gamma), n_slab, seed=seed + i)
         rows.append({"eps": eps, "lam": res.lam, "slab": est.value,
                      "slab_err": est.error, "case": res.case_tag,
                      "flag": _row_flags(res, tol)})
     clean = [r for r in rows
              if not r["flag"] and r["lam"] > 0.0 and r["slab"] > 0.0]
-    lambda_fit = slab_fit = None
-    if len(clean) >= 3:
-        lambda_fit = exponent_fit([(r["eps"], r["lam"]) for r in clean])
-        slab_fit = exponent_fit([(r["eps"], r["slab"]) for r in clean])
-    return ScanResult(rows=tuple(rows), lambda_fit=lambda_fit, slab_fit=slab_fit)
+    return ScanResult(rows=tuple(rows),
+                      lambda_fit=exponent_fit([(r["eps"], r["lam"]) for r in clean]),
+                      slab_fit=exponent_fit([(r["eps"], r["slab"]) for r in clean]))
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +196,6 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
     zero) is flagged ``skip`` with NaN ratios.
     """
     alphaf = float(alpha)
-    if not alphaf > 1.0:
-        raise ParameterDomainError(f"bump aspect exponent must exceed 1, got {alpha!r}")
     gamma_list = [float(g) for g in gamma_grid]
     if not gamma_list or not all(0.0 < g <= 0.25 for g in gamma_list):
         raise ParameterDomainError("slab grid must lie inside (0, 1/4]")
@@ -211,7 +204,7 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
         raise ParameterDomainError("empty bump-height grid")
     rows = []
     for i, eps in enumerate(eps_list):
-        dom = bump_domain(eps, alphaf)
+        dom = bump_domain(eps, alpha)
         res = critical_lambda(dom, _SWEEP, tol=tol, seed=seed + i)
         rho_i, rho_e = radial_extremes(dom)
         gap = rho_e - rho_i
@@ -220,7 +213,7 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
             row = {"eps": eps, "gamma": g, "lam": res.lam, "gap": gap,
                    "slab": est.value, "slab_err": est.error}
             dens = None
-            if gap > 1e-12:
+            if gap > _ROUNDING_WIDTH:
                 dens = (g * gap ** (1.0 - 1.0 / alphaf), g * (gap + g * abs(res.lam)),
                         g * gap)
             if dens is None or 0.0 in dens:

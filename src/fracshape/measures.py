@@ -25,14 +25,11 @@ import numpy as np
 
 from .domains import ImplicitDomain, boundary_distance, box_corners, radial_extremes
 from .movingplanes import CriticalPlaneResult, reflect
+from .specfun import ParameterDomainError
 
 # Most points the boundary-weighted integral sends through its integrand at
 # once: the chart distance search holds a few arrays of this many points.
 _BLOCK = 4096
-
-
-class MeasureParameterError(ValueError):
-    """Out-of-range arguments to a measure estimator."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def _mean_3sigma(vals):
 def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
     """Volume of {x in box : pred(x)} by quasi-random hit counting."""
     if n < 1:
-        raise MeasureParameterError(f"sample count must be >= 1, got {n!r}")
+        raise ParameterDomainError(f"sample count must be >= 1, got {n!r}")
     box = np.asarray(box, dtype=float)
     vol = _box_volume(box)
     mean, bar = _mean_3sigma(pred(_draw(box, n, seed)))
@@ -170,7 +167,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
     deviation region; otherwise plain band-restricted QMC.
     """
     if not 0.0 < gamma <= 0.25:
-        raise MeasureParameterError(f"band half-width restricted to (0, 1/4], got {gamma!r}")
+        raise ParameterDomainError(f"band half-width restricted to (0, 1/4], got {gamma!r}")
     e, lam = np.asarray(res.e, dtype=float), float(res.lam)
 
     def in_band(pts):
@@ -228,7 +225,7 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     the integrand together, ``_BLOCK`` at a time.
     """
     if not 0.0 < s < 1.0:
-        raise MeasureParameterError(f"exponent must lie in (0, 1), got {s!r}")
+        raise ParameterDomainError(f"exponent must lie in (0, 1), got {s!r}")
     rho_e = radial_extremes(d)[1]
     h = rho_e - 1.0
     if h <= 1e-12:

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .domains import ImplicitDomain, ProjectionError, chart_extreme, chart_nodes, polish
+from .specfun import ParameterDomainError
 
 TAG_TANGENCY = "internal-tangency"
 TAG_ORTHOGONAL = "boundary-orthogonality"
@@ -41,7 +42,7 @@ def _unit(e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     norm = float(np.linalg.norm(e))
     if not norm > 0.0:
-        raise ValueError("direction must be a nonzero vector")
+        raise ParameterDomainError("direction must be a nonzero vector")
     return e / norm
 
 

@@ -243,7 +243,7 @@ def richardson_limit(eps_values, ratios) -> float:
     x = [float(v) for v in eps_values]
     t = [float(v) for v in ratios]
     if len(x) != len(t) or len(x) < 2:
-        raise ValueError("need at least two (eps, ratio) points to extrapolate")
+        raise ParameterDomainError("need at least two (eps, ratio) points to extrapolate")
     m = len(x)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):

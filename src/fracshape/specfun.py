@@ -11,12 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 
-class GammaPoleError(ValueError):
-    """Gamma requested at one of its poles (zero or a negative integer)."""
-
-
 class ParameterDomainError(ValueError):
-    """Parameters outside the regime a routine is willing to evaluate."""
+    """Input a routine will not evaluate; the library's one input-error type."""
 
 
 def gamma(x: float) -> float:
@@ -28,7 +24,7 @@ def gamma(x: float) -> float:
     """
     x = float(x)
     if x <= 0.0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma has a pole at x={x:g}")
+        raise ParameterDomainError(f"gamma has a pole at x={x:g}")
     try:
         return math.gamma(x)
     except OverflowError as exc:

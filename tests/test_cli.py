@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -101,6 +102,40 @@ class TestErrors:
         code, out, err = run(capsys, "constants")
         assert code == 4 and out == ""
         assert json.loads(err) == {"error": "an internal fault", "command": "constants"}
+
+
+_CONTRACT_ERRORS = {"ParameterDomainError", "ProjectionError", "CliError"}
+
+
+def _is_exception_class(node):
+    names = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in node.bases]
+    return node.name.endswith("Error") or any(
+        n.endswith(("Error", "Exception", "Warning")) for n in names)
+
+
+class TestInputContract:
+    """Bad input raises ParameterDomainError or CliError (exit 2), a numerical
+    failure ProjectionError (exit 3); nothing else is raised on purpose."""
+
+    TREES = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).parent.glob("*.py"))}
+
+    def test_only_the_contract_exceptions_are_defined(self):
+        defined = sorted(node.name for tree in self.TREES.values() for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef) and _is_exception_class(node))
+        assert defined == sorted(_CONTRACT_ERRORS)
+
+    def test_every_raise_names_a_contract_exception(self):
+        for name, tree in self.TREES.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert isinstance(exc, ast.Name) and exc.id in _CONTRACT_ERRORS, \
+                        f"{name}:{node.lineno}"
+
+    def test_cli_input_errors_are_the_contract_ones(self):
+        assert {e.__name__ for e in cli._INPUT_ERRORS} == {"CliError", "OSError",
+                                                           "ParameterDomainError"}
 
 
 class TestRunConfig:
@@ -418,6 +453,89 @@ def _float_list(lo, hi, max_size=3, **kw):
         lambda v: ",".join(repr(x) for x in v))
 
 
+def _assert_fit_rests_on_three_distinct_x(fit):
+    if fit is not None:
+        assert len({x for x, _ in fit["points"]}) >= 3, fit["points"]
+        assert math.isfinite(fit["slope"]) and 0.0 <= fit["r2"] <= 1.0
+
+
+_ORDERS = _floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestConstantsInputs:
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 500), s=_ORDERS)
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(self, n, s):
+        code, res = _run_timed(["constants", "--n", str(n), "--s", repr(s)])
+        if code == 0:
+            assert math.isfinite(res["gamma_ns"]) and res["gamma_ns"] > 0.0
+            assert math.isfinite(res["c_ns"]) and res["c_ns"] > 0.0
+
+
+_STRETCHES = _floats(0.0, 0.25, exclude_min=True, exclude_max=True)
+
+
+class TestSeminormRatioInputs:
+
+    @settings(max_examples=10, deadline=None)
+    @given(s=_ORDERS, eps=_STRETCHES, n_pairs=st.integers(1000, 5000))
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(self, s, eps, n_pairs):
+        code, res = _run_timed(["seminorm-ratio", "--s", repr(s), "--eps", repr(eps),
+                                "--n-pairs", str(n_pairs)])
+        if code == 0:
+            assert math.isfinite(res["seminorm"]) and res["seminorm"] >= 0.0
+            assert math.isfinite(res["ratio"]) and math.isfinite(res["rel_gap"])
+            assert isinstance(res["converged"], bool)
+
+
+class TestStabilityProbeInputs:
+
+    # repeated and rounding-level stretches mixed in, so fits can degenerate
+    GRIDS = st.lists(st.one_of(_STRETCHES, st.sampled_from((0.01, 1e-13, 1e-300))),
+                     min_size=1, max_size=4).map(lambda v: ",".join(repr(x) for x in v))
+
+    @settings(max_examples=10, deadline=None)
+    @given(s=_ORDERS, eps=GRIDS, n_pairs=st.integers(1000, 5000))
+    def test_accepted_input_ends_within_budget_or_exits_two_or_three(self, s, eps, n_pairs):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, res = _run_timed(["stability-probe", "--s", repr(s), "--eps", eps,
+                                    "--n-pairs", str(n_pairs), "--out", tmp])
+            if code == 0:
+                (csv_art,) = Path(tmp).glob("*.csv")
+                assert len(csv_art.read_text().splitlines()) == len(eps.split(",")) + 1
+                _assert_fit_rests_on_three_distinct_x(res["fit"])
+
+
+class TestDegenerateFits:
+    """Grids that cannot carry an exponent report no fit."""
+
+    def test_repeated_stretch_gives_no_probe_fit(self, capsys, tmp_path):
+        summary = run_json(capsys, "stability-probe", "--eps", "0.01,0.01,0.01",
+                           "--out", str(tmp_path))
+        assert summary["results"]["fit"] is None
+
+    @pytest.mark.parametrize("eps", ["1e-3,1e-3,1e-3",
+                                     "1e-3,1.0000000000000002e-3,1.0000000000000004e-3"])
+    def test_repeated_height_gives_no_scan_fit(self, capsys, tmp_path, eps):
+        summary = run_json(capsys, "counterexample-scan", "--eps", eps,
+                           "--n", "1000", "--out", str(tmp_path))
+        assert summary["results"] == {"lambda_fit": None, "slab_fit": None}
+
+    def test_rounding_level_shape_is_flagged_and_not_fitted(self, capsys, tmp_path):
+        summary = run_json(capsys, "stability-probe", "--eps", "1e-300,1e-200,1e-100",
+                           "--out", str(tmp_path))
+        assert summary["results"]["fit"] is None
+        csv_art = next(p for p in summary["artifacts"] if p.endswith(".csv"))
+        flags = [line.rsplit(",", 1)[1] for line in Path(csv_art).read_text().splitlines()[1:]]
+        assert flags == ["shape-below-resolution"] * 3
+
+    def test_scan_accepts_the_closed_gamma_bound(self, capsys, tmp_path):
+        summary = run_json(capsys, "counterexample-scan", "--eps", "1e-3,3e-4,1e-4",
+                           "--gamma", "0.25", "--n", "1000", "--out", str(tmp_path))
+        assert summary["results"]["slab_fit"] is not None
+
+
 _BUMP_HEIGHTS = _float_list(0.0, 0.05, exclude_min=True)
 _ALPHAS = _floats(1.0, 8.0, exclude_min=True)
 
@@ -438,7 +556,7 @@ class TestCounterexampleScanInputs:
                 (csv_art,) = Path(tmp).glob("*.csv")
                 assert len(csv_art.read_text().splitlines()) == len(eps.split(",")) + 1
                 for fit in (res["lambda_fit"], res["slab_fit"]):
-                    assert fit is None or math.isfinite(fit["slope"])
+                    _assert_fit_rests_on_three_distinct_x(fit)
 
 
 class TestLemmaCheckInputs:

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracshape import seminorm
-from fracshape.domains import (Chart, DomainParameterError, _ellipse_axis_distance,
+from fracshape.domains import (Chart, _ellipse_axis_distance,
                                _ellipse_distance, ball, boundary_distance,
                                bump_domain, bump_profile, chart_extreme,
                                chart_nodes, ellipsoid, erode, odd_cutoff, polish,
                                radial_extremes, signed_distance)
 from fracshape.measures import halton_points
 from fracshape.movingplanes import support_value
-from fracshape.specfun import FracParams
+from fracshape.specfun import FracParams, ParameterDomainError
 
 
 def boundary_samples(d, n):
@@ -193,7 +193,7 @@ class TestBall:
         assert not d.contains(np.array([1.2, 0.3]))
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(ParameterDomainError, match="ball radius must be positive"):
             ball((0.0, 0.0), 0.0)
 
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3))
@@ -228,9 +228,9 @@ class TestEllipsoid:
         assert abs((rho_e - rho_i) - eps) <= 1e-12
 
     def test_stretch_range(self):
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(ParameterDomainError, match="ellipsoid stretch restricted"):
             ellipsoid(0.25)
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(ParameterDomainError, match="ellipsoid stretch restricted"):
             ellipsoid(-0.01)
 
     @settings(max_examples=60, deadline=None)
@@ -294,7 +294,7 @@ class TestErosion:
         assert np.max(np.abs(inner.level(samples))) < 1e-9
 
     def test_depth_must_fit_interior_ball(self):
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(ParameterDomainError, match="erosion depth must lie in"):
             erode(ball((0.0, 0.0), 1.0), 1.0)
 
 
@@ -371,9 +371,9 @@ class TestBumpFamily:
         assert boundary_distance(d, qs) == pytest.approx(want, rel=0.0, abs=1e-9)
 
     def test_parameter_validation(self):
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(ParameterDomainError, match="bump aspect exponent must exceed 1"):
             bump_domain(1e-3, 1.0)
-        with pytest.raises(DomainParameterError):
+        with pytest.raises(ParameterDomainError, match="bump height restricted"):
             bump_domain(0.2, 2.0)
 
     def test_deviation_box_brackets_the_bump(self):

@@ -41,11 +41,14 @@ class TestExponentFit:
         assert abs(a - b) < 1e-12
 
     def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            exponent_fit([(0.1, 1.0), (0.2, 2.0)])
-        with pytest.raises(ValueError):
+        assert exponent_fit([(0.1, 1.0), (0.2, 2.0)]) is None
+        assert exponent_fit([(0.1, 1.0), (0.1, 2.0), (0.2, 3.0)]) is None
+        # three distinct x whose logs coincide in floats: no slope either
+        x = 1e-3
+        assert exponent_fit([(x, 1.0), (x * (1 + 2**-52), 2.0), (x * (1 + 2**-51), 3.0)]) is None
+        with pytest.raises(ParameterDomainError, match="strictly positive coordinates"):
             exponent_fit([(0.1, 1.0), (0.2, -2.0), (0.4, 3.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterDomainError, match="strictly positive coordinates"):
             exponent_fit([(0.0, 1.0), (0.2, 2.0), (0.4, 3.0)])
 
 
@@ -65,6 +68,17 @@ class TestStabilityProbe:
         probe = stability_probe(P, [0.01], budget=OptimBudget(n_pairs=10_000))
         assert len(probe.rows) == 1
         assert probe.fit is None
+
+    def test_rounding_level_shape_is_flagged_and_kept_out_of_the_fit(self):
+        budget = OptimBudget(n_pairs=2_000)
+        probe = stability_probe(P, [0.02, 0.01, 1e-9, 1e-13], budget=budget)
+        assert [r["flag"] for r in probe.rows] == ["", "", "", "shape-below-resolution"]
+        assert [x for x, _ in probe.fit.points] == [r["seminorm"] for r in probe.rows[:3]]
+        assert stability_probe(P, [0.02, 0.01, 1e-13], budget=budget).fit is None
+
+    def test_repeated_stretch_gives_no_fit(self):
+        probe = stability_probe(P, [0.01] * 3, budget=OptimBudget(n_pairs=2_000))
+        assert len(probe.rows) == 3 and probe.fit is None
 
     def test_grid_validation(self):
         with pytest.raises(ParameterDomainError):
@@ -98,6 +112,10 @@ class TestCounterexampleScan:
         assert all("lambda-below-resolution" in r["flag"] for r in res.rows)
         assert res.lambda_fit is None
         assert res.slab_fit is None
+
+    def test_closed_gamma_bound_is_accepted(self):
+        res = counterexample_scan(2.0, [1e-3], 0.25, n_slab=1000)
+        assert len(res.rows) == 1 and res.rows[0]["slab"] > 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterDomainError):

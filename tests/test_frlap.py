@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from fracshape import frlap
 from fracshape.domains import ball, boundary_distance
-from fracshape.frlap import (EvaluationPointError, QuadratureConfig,
-                             UnsupportedDimensionError, barrier, frlap_eval,
-                             power_field, torsion_ball, torsion_ellipsoid)
-from fracshape.specfun import FracParams, gamma_ns
+from fracshape.frlap import (QuadratureConfig, barrier, frlap_eval, power_field,
+                             torsion_ball, torsion_ellipsoid)
+from fracshape.specfun import FracParams, ParameterDomainError, gamma_ns
 
 POINTS = [np.array(q) for q in [(0.0, 0.0), (0.3, 0.1), (-0.5, 0.4), (0.0, -0.7)]]
 
@@ -53,19 +52,19 @@ class TestEvaluationGuards:
 
     def test_rejects_points_outside_support(self):
         f = torsion_ball(FracParams(2, 0.5))
-        with pytest.raises(EvaluationPointError):
+        with pytest.raises(ParameterDomainError, match="must be interior to the support"):
             frlap_eval(f, np.array([1.0, 0.0]))
-        with pytest.raises(EvaluationPointError):
+        with pytest.raises(ParameterDomainError, match="must be interior to the support"):
             frlap_eval(f, np.array([1.4, 0.2]))
 
     def test_rejects_points_hugging_the_boundary(self):
         f = torsion_ball(FracParams(2, 0.5))
-        with pytest.raises(EvaluationPointError):
+        with pytest.raises(ParameterDomainError, match="too close to the support boundary"):
             frlap_eval(f, np.array([0.97, 0.0]))  # distance 0.03 < inner_radius
 
     def test_rejects_other_dimensions(self):
         f = torsion_ball(FracParams(3, 0.5))
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(ParameterDomainError, match="implemented for n = 2"):
             frlap_eval(f, np.zeros(3))
 
     def test_error_estimate_brackets_truth_on_torsion(self):
@@ -236,8 +235,8 @@ class TestBatch:
     def test_batch_raises_for_its_first_bad_point(self, bad):
         f = torsion_ball(FracParams(2, 0.5))
         X = np.array([(0.1, 0.2)] + bad + [(0.3, -0.1)])
-        with pytest.raises(EvaluationPointError) as single:
+        with pytest.raises(ParameterDomainError, match="support") as single:
             frlap_eval(f, np.array(bad[0]))
-        with pytest.raises(EvaluationPointError) as batch:
+        with pytest.raises(ParameterDomainError, match="support") as batch:
             frlap_eval(f, X)
         assert str(batch.value) == str(single.value)

@@ -10,6 +10,7 @@ from fracshape.domains import ball, bump_domain, ellipsoid
 from fracshape.movingplanes import (_VIOLATION_EPS, TAG_ORTHOGONAL, TAG_TANGENCY,
                                     TAG_UNRESOLVED, _chart_grids, critical_lambda,
                                     reflect, support_value, to_record, violation)
+from fracshape.specfun import ParameterDomainError
 
 
 finite = st.floats(min_value=-5, max_value=5)
@@ -93,6 +94,12 @@ class TestSupportValue:
         d = ellipsoid(0.2)
         assert support_value(d, np.array([1.0, 0.0])) == pytest.approx(1.2, abs=1e-9)
         assert support_value(d, np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_direction_is_an_input_error(self):
+        d = ball((0.0, 0.0), 1.0)
+        for call in (support_value, critical_lambda):
+            with pytest.raises(ParameterDomainError, match="nonzero vector"):
+                call(d, np.zeros(2))
 
 
 class TestCriticalPlane:

@@ -110,7 +110,7 @@ class TestSeminormRatio:
         quad = [2.0 - e + 0.5 * e * e for e in eps]
         assert richardson_limit(eps, lin) == pytest.approx(1.0, abs=1e-12)
         assert richardson_limit(eps, quad) == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterDomainError, match="need at least two"):
             richardson_limit([0.1], [1.0])
 
     def test_parameter_validation(self):
