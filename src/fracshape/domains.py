@@ -474,13 +474,19 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 # radial extremes
 
 
-def radial_extremes(d: ImplicitDomain):
-    """(rho_i, rho_e): nearest and farthest boundary point from the origin,
-    chart-refined."""
+def radial_extreme(d: ImplicitDomain, maximize: bool) -> float:
+    """Farthest (``maximize``) or nearest boundary point's distance from the
+    origin, chart-refined."""
     m = max(256, 4096 // len(d.boundary_param))
 
     def radius(q):
         return np.linalg.norm(q, axis=-1)
 
-    return (min(chart_extreme(ch, radius, m, 4, maximize=False)[1] for ch in d.boundary_param),
-            max(chart_extreme(ch, radius, m, 4, maximize=True)[1] for ch in d.boundary_param))
+    pick = max if maximize else min
+    return pick(chart_extreme(ch, radius, m, 4, maximize)[1] for ch in d.boundary_param)
+
+
+def radial_extremes(d: ImplicitDomain):
+    """(rho_i, rho_e): nearest and farthest boundary point from the origin,
+    chart-refined."""
+    return radial_extreme(d, maximize=False), radial_extreme(d, maximize=True)

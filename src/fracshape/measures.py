@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import ImplicitDomain, boundary_distance, box_corners, radial_extremes
+from .domains import ImplicitDomain, boundary_distance, box_corners, radial_extreme
 from .movingplanes import CriticalPlaneResult, reflect
 from .specfun import ParameterDomainError
 
-# Most points the boundary-weighted integral sends through its integrand at
-# once: the chart distance search holds a few arrays of this many points.
+# Most points the boundary-weighted integral masks, or sends through the
+# distance search, at once: the chart search holds a few arrays of this many
+# points.
 _BLOCK = 4096
 
 
@@ -221,12 +222,14 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     Stratified in 13 geometric shells hugging the circle.  The ratio grows
     without bound at the circle (the gap vanishes, the numerator does not),
     so the innermost shell uses a t^(-s) importance map in the radial gap
-    to keep the weighted integrand bounded.  All shells' points go through
-    the integrand together, ``_BLOCK`` at a time.
+    to keep the weighted integrand bounded.  The integrand vanishes outside
+    the domain, so only the shells' points that lie inside go through the
+    boundary distance search, all shells together, ``_BLOCK`` at a time;
+    every other point contributes 0.
     """
     if not 0.0 < s < 1.0:
         raise ParameterDomainError(f"exponent must lie in (0, 1), got {s!r}")
-    rho_e = radial_extremes(d)[1]
+    rho_e = radial_extreme(d, maximize=True)
     h = rho_e - 1.0
     if h <= 1e-12:
         return MeasureEstimate(value=0.0, error=0.0, method="closed-form",
@@ -251,13 +254,23 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
             jacs.append(t_hi - t_lo)
         theta[sl] = -0.5 * math.pi + math.pi * uu[:, 1]
 
-    weighted = np.empty(t.size)
+    # Mask block by block (all n points at once would raise the peak memory),
+    # then search only the points inside.
+    inside, inside_pts = [], []
     for i in range(0, t.size, _BLOCK):
         b = slice(i, i + _BLOCK)
         r = 1.0 + t[b]
         pts = np.stack([r * np.cos(theta[b]), r * np.sin(theta[b])], axis=-1)
-        ratio = boundary_distance(d, pts) / np.maximum(t[b], 1e-300)
-        weighted[b] = np.where(d.contains(pts), pts[:, 0] * ratio ** s, 0.0) * r
+        keep = d.contains(pts)
+        inside.append(i + np.flatnonzero(keep))
+        inside_pts.append(pts[keep])
+    inside, inside_pts = np.concatenate(inside), np.concatenate(inside_pts)
+
+    weighted = np.zeros(t.size)
+    for i in range(0, inside.size, _BLOCK):
+        j, q = inside[i:i + _BLOCK], inside_pts[i:i + _BLOCK]
+        ratio = boundary_distance(d, q) / np.maximum(t[j], 1e-300)
+        weighted[j] = q[:, 0] * ratio ** s * (1.0 + t[j])
 
     total, bar_sq = 0.0, 0.0
     for k, jac in enumerate(jacs):

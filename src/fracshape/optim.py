@@ -9,8 +9,9 @@ _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
 def golden_max(fn, lo, hi):
-    """Golden-section maximization (70 steps), vectorized over independent
-    brackets.
+    """Golden-section maximization (at most 70 steps), vectorized over
+    independent brackets.  It stops early at the brackets' fixed point, since
+    a step that moves no end leaves every later step the same.
 
     Each step evaluates its two probes in one call: ``fn`` gets them as one
     ``(2, *shape)`` float array, ``shape`` that of the brackets (``(1,)`` for
@@ -30,6 +31,8 @@ def golden_max(fn, lo, hi):
         d = lo + _INVPHI * (hi - lo)
         v = np.asarray(fn(np.stack([c, d])))
         keep_left = v[0] >= v[1]
+        if np.where(keep_left, d == hi, c == lo).all():
+            break  # the end that would move is there already
         hi = np.where(keep_left, d, hi)
         lo = np.where(keep_left, lo, c)
     mid = 0.5 * (lo + hi)

@@ -11,7 +11,8 @@ the result unconverged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -219,14 +220,19 @@ def ellipsoid_seminorm(p: FracParams, eps: float,
     The chart covers the x1 >= 0 half; both the curve and the profile are
     even in x1 and in x2, so straddling pairs never beat same-half pairs
     (reflecting one endpoint keeps the numerator and shrinks the chord).
-    The sup is the coincidence limit, maximized in closed form.
+    The sup is the coincidence limit, maximized in closed form.  A value
+    below the smallest normal float (zero or subnormal, at a subnormal
+    stretch) has lost its digits to underflow and is reported unconverged.
     """
     if p.n != 2:
         raise ParameterDomainError("offset-chart seminorm implemented for n = 2")
     if not 0.0 < eps < 0.25:
         raise ParameterDomainError(f"stretch restricted to (0, 1/4), got {eps!r}")
-    return _closed_form_seminorm(torsion_ellipsoid(p, eps).eval, ellipsoid_chart(eps),
-                                 lambda r: _torsion_rate(p, eps, r), budget)
+    res = _closed_form_seminorm(torsion_ellipsoid(p, eps).eval, ellipsoid_chart(eps),
+                                lambda r: _torsion_rate(p, eps, r), budget)
+    if res.value < sys.float_info.min:
+        return replace(res, converged=False)
+    return res
 
 
 def ellipsoid_seminorm_ratio(p: FracParams, eps: float,

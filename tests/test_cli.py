@@ -488,6 +488,12 @@ class TestSeminormRatioInputs:
             assert math.isfinite(res["ratio"]) and math.isfinite(res["rel_gap"])
             assert isinstance(res["converged"], bool)
 
+    def test_subnormal_stretch_is_unconverged(self, capsys, tmp_path):
+        summary = run_json(capsys, "seminorm-ratio", "--eps", "5e-324", "--n-pairs", "1000",
+                           "--out", str(tmp_path))
+        assert summary["results"]["seminorm"] == 0.0
+        assert summary["results"]["converged"] is False
+
 
 class TestStabilityProbeInputs:
 
@@ -529,6 +535,14 @@ class TestDegenerateFits:
         csv_art = next(p for p in summary["artifacts"] if p.endswith(".csv"))
         flags = [line.rsplit(",", 1)[1] for line in Path(csv_art).read_text().splitlines()[1:]]
         assert flags == ["shape-below-resolution"] * 3
+
+    def test_subnormal_stretch_rows_are_flagged_and_not_fitted(self, capsys, tmp_path):
+        summary = run_json(capsys, "stability-probe", "--eps", "5e-324,1e-320,1e-310",
+                           "--n-pairs", "1000", "--out", str(tmp_path))
+        assert summary["results"]["fit"] is None
+        csv_art = next(p for p in summary["artifacts"] if p.endswith(".csv"))
+        flags = [line.rsplit(",", 1)[1] for line in Path(csv_art).read_text().splitlines()[1:]]
+        assert flags == ["seminorm-unconverged+shape-below-resolution"] * 3
 
     def test_scan_accepts_the_closed_gamma_bound(self, capsys, tmp_path):
         summary = run_json(capsys, "counterexample-scan", "--eps", "1e-3,3e-4,1e-4",

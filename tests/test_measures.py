@@ -194,23 +194,31 @@ class TestBoundaryWeightedIntegral:
         hi = boundary_weighted_integral(ball((0.0, 0.0), 1.08), 0.5, 50_000, seed=1)
         assert hi.value > lo.value
 
-    def test_distance_search_sees_each_point_once(self, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize("dom, n", [("bump:1e-2", 1300), ("ball", 60_000)])
+    def test_distance_search_sees_each_inside_point_once(self, monkeypatch, dom, n):
+        masked, searched = [], []
+        d = BWI_DOMAINS[dom]()
 
-        def counting(d, pts):
-            seen.append(len(pts))
+        def recording_level(pts, _level=d.level):
+            masked.append(np.array(pts))
+            return _level(pts)
+
+        def recording_distance(d, pts):
+            searched.append(np.array(pts))
             return boundary_distance(d, pts)
 
-        monkeypatch.setattr(measures, "boundary_distance", counting)
-        d = bump_domain(1e-2, 2.0)
-        est = boundary_weighted_integral(d, 0.5, 1300, seed=0)
-        assert seen == [1300] and est.n_samples == 1300
-
-        # 13 shells of 4615 points: more than one block, and a shell spans two
-        seen.clear()
-        est = boundary_weighted_integral(d, 0.5, 60_000, seed=0)
-        assert len(seen) > 1 and max(seen) <= measures._BLOCK == 4096
-        assert sum(seen) == est.n_samples == 59_995
+        monkeypatch.setattr(measures, "boundary_distance", recording_distance)
+        est = boundary_weighted_integral(dataclasses.replace(d, level=recording_level),
+                                         0.5, n, seed=0)
+        sampled = np.concatenate(masked)
+        inside = d.contains(sampled)
+        assert len(sampled) == est.n_samples
+        np.testing.assert_array_equal(np.concatenate(searched), sampled[inside])
+        assert max(map(len, masked + searched)) <= measures._BLOCK == 4096
+        if dom == "ball":  # every point is inside: the search spans several blocks
+            assert inside.all() and len(searched) > 1 and est.n_samples == 59_995
+        else:  # a few points are inside: one search call
+            assert 0 < inside.sum() < 100 and len(searched) == 1
 
     @pytest.mark.parametrize("dom", ["bump:1e-3", "bump:1e-2", "ellipsoid", "ball"])
     @pytest.mark.parametrize("seed", [0, 1])

@@ -62,6 +62,20 @@ class TestGoldenSection:
         assert len(calls) == 71
         assert calls[:70] == [(2, 3)] * 70 and calls[70] == (3,)
 
+    def test_stops_at_the_brackets_fixed_point(self):
+        # near t = 1e3 a 1e-3 bracket is 8.8e9 ulps wide, which golden steps
+        # shrink to a few ulps, where the ends stop moving, in under 50 steps
+        calls = []
+
+        def fn(t):
+            calls.append(np.shape(t))
+            return -(t - 1000.0003) ** 2
+
+        lo, hi = np.array([1000.0, 999.9995]), np.array([1000.001, 1000.0005])
+        got = golden_max(fn, lo, hi)
+        assert len(calls) < 71 and calls[-1] == (2,)
+        _assert_same_bits(got, two_call_golden_max(fn, lo, hi), scalar=False)
+
     @settings(max_examples=60)
     @given(_peak, _center, _bracket)
     def test_scalar_bracket_matches_two_calls(self, name, a, bracket):

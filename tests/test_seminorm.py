@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +161,11 @@ class TestClosedForm:
         res = ellipsoid_seminorm(P, 1e-9)
         assert res.converged
         assert abs(res.value / 1e-9 - lim) <= 1e-6 * lim
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310])
+    def test_underflowed_seminorm_is_unconverged(self, eps):
+        res = ellipsoid_seminorm(P, eps, budget=SMALL)
+        assert res.value < sys.float_info.min and not res.converged
 
     def test_halved_rate_loses_to_the_pair_search(self, monkeypatch):
         rate = seminorm._torsion_rate
