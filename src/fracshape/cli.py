@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,26 +52,26 @@ class RunConfig:
     output_path: str = "."
 
 
-# flag table per subcommand; None marks a required flag
-_SPECS = {
-    "constants": {"n": "2", "s": "0.5"},
-    "torsion-check": {"domain": "ball", "s": "0.5", "points": "20",
-                      "min-dist": "0.2"},
-    "seminorm-ratio": {"s": "0.5", "eps": None, "n-pairs": "100000"},
-    "critical-plane": {"domain": None, "e": "1,0", "tol": "1e-6"},
-    "slab-measure": {"domain": None, "e": "1,0", "gamma": "0.2",
-                     "tol": "1e-6", "n": "200000"},
-    "boundary-integral": {"domain": None, "s": "0.5", "n": "200000"},
-    "counterexample-scan": {"alpha": "2", "eps": "1e-3,3e-4,1e-4,3e-5,1e-5",
-                            "gamma": "0.2", "tol": "1e-8", "n": "200000"},
-    "stability-probe": {"s": "0.5", "eps": "0.02,0.01,0.005",
-                        "n-pairs": "100000"},
-    "lemma-check": {"alpha": "2", "eps": "1e-3,1e-4,1e-5", "gamma": "0.2",
-                    "tol": "1e-8", "n": "200000"},
-}
+# subcommand -> (body, {flag: (default, parser)}), filled by @_command in
+# the order the bodies are defined; a None default marks a required flag
+_COMMANDS = {}
+
+
+def _command(name, **flags):
+    """Register a body; each keyword names a flag (``_`` spelled ``-``)."""
+    def register(body):
+        _COMMANDS[name] = (body, {k.replace("_", "-"): v for k, v in flags.items()})
+        return body
+    return register
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # a token such as -1,0 or -.5,1 is a value, not an unknown option;
+        # no flag starts with - and a digit
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # route argparse failures into the JSON path
         raise CliError(message)
 
@@ -77,9 +79,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fracshape", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name, spec in _SPECS.items():
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, description=f"run the {name} operation")
-        for key, default in spec.items():
+        for key, (default, _) in flags.items():
             sp.add_argument(f"--{key}", type=str, default=default)
         sp.add_argument("--config", type=str, default=None,
                         help="JSON RunConfig; its values override flags")
@@ -89,10 +91,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _collect_config(args) -> RunConfig:
-    spec = _SPECS[args.command]
+def _collect_config(args, flags) -> RunConfig:
     params = {}
-    for key in spec:
+    for key in flags:
         val = getattr(args, key.replace("-", "_"))
         if val is not None:
             params[key] = val
@@ -115,7 +116,7 @@ def _collect_config(args) -> RunConfig:
         raw_params = raw.get("params", {})
         if not isinstance(raw_params, dict):
             raise CliError("config params must be a JSON object")
-        extra = set(raw_params) - set(spec)
+        extra = set(raw_params) - set(flags)
         if extra:
             raise CliError(f"config params not accepted by {args.command}: {sorted(extra)}")
         for k, v in raw_params.items():
@@ -124,14 +125,15 @@ def _collect_config(args) -> RunConfig:
             cfg.seed = _as_int(raw["seed"], "seed", lo=0)
         if "output_path" in raw:
             cfg.output_path = str(raw["output_path"])
-    missing = [k for k, d in spec.items() if d is None and k not in cfg.params]
+    missing = [k for k, (d, _) in flags.items() if d is None and k not in cfg.params]
     if missing:
         raise CliError(f"{args.command} requires --{missing[0]}")
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# decimal-string parsing with range checks
+# decimal-string parsing with range checks; a flag's parser takes the flag's
+# text and its name
 
 
 def _as_float(text, name, lo=None, hi=None, hi_open=True) -> float:
@@ -158,30 +160,37 @@ def _as_int(text, name, lo=1) -> int:
     return v
 
 
-def _as_float_list(text, name, **kw):
+def _as_list(text, name, item=_as_float) -> list:
     items = [t for t in str(text).split(",") if t.strip()]
     if not items:
         raise CliError(f"{name} must be a comma-separated list of numbers")
-    return [_as_float(t, name, **kw) for t in items]
+    return [item(t, name) for t in items]
 
 
-def _as_direction(text) -> np.ndarray:
-    vals = _as_float_list(text, "e")
+# the ranges that several flags, or a flag and a domain string, share
+_S = partial(_as_float, lo=0.0, hi=1.0)  # fractional order
+_TOL = partial(_as_float, lo=0.0, hi=0.1)
+_N = partial(_as_int, lo=100)  # sample count
+_N_PAIRS = partial(_as_int, lo=1000)
+_GAMMA = partial(_as_float, lo=0.0, hi=0.25, hi_open=False)  # slab half-width
+_ALPHA = partial(_as_float, lo=1.0)  # bump contact order
+_HEIGHT = partial(_as_float, lo=0.0, hi=0.05, hi_open=False)  # bump height
+_STRETCH = partial(_as_float, lo=0.0, hi=0.25)  # ellipsoid stretch
+
+
+def _as_direction(text, name) -> np.ndarray:
+    vals = _as_list(text, name)
     if len(vals) != 2:
-        raise CliError(f"e must have two components, got {text!r}")
+        raise CliError(f"{name} must have two components, got {text!r}")
     v = np.asarray(vals, dtype=float)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
     if not 0.0 < norm < np.inf:
-        raise CliError(f"e must be a nonzero direction of finite norm, got {text!r}")
+        raise CliError(f"{name} must be a nonzero direction of finite norm, got {text!r}")
     return v
 
 
-def _as_s(text) -> float:
-    return _as_float(text, "s", lo=0.0, hi=1.0)
-
-
-def _parse_domain(text: str):
+def _as_domain(text, name):
     """``(kind, parameters, domain)`` of a ``--domain`` string."""
     parts = str(text).split(":")
     kind = parts[0]
@@ -195,20 +204,20 @@ def _parse_domain(text: str):
     if kind == "ellipsoid":
         if len(parts) != 2:
             raise CliError("ellipsoid domain is spelled ellipsoid:EPS")
-        eps = _as_float(parts[1], "ellipsoid stretch", lo=0.0, hi=0.25)
+        eps = _STRETCH(parts[1], "ellipsoid stretch")
         return kind, (eps,), ellipsoid(eps)
     if kind == "bump":
         if len(parts) not in (2, 3):
             raise CliError("bump domain is spelled bump:EPS or bump:EPS:ALPHA")
-        eps = _as_float(parts[1], "bump height", lo=0.0, hi=0.05, hi_open=False)
-        alpha = _as_float(parts[2], "bump aspect", lo=1.0) if len(parts) > 2 else 2.0
+        eps = _HEIGHT(parts[1], "bump height")
+        alpha = _ALPHA(parts[2], "bump aspect") if len(parts) > 2 else 2.0
         return kind, (eps, alpha), bump_domain(eps, alpha)
     raise CliError(f"unknown domain {text!r} (ball[:R], ellipsoid:EPS, bump:EPS[:ALPHA])")
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies; each returns a JSON-ready results dict and may write
-# artifacts through _emit
+# subcommand bodies; each takes the parsed flags, returns its exit code and
+# writes its JSON summary and any artifacts through _emit
 
 
 def _emit(cfg: RunConfig, results: dict, rows=None, fieldnames=None):
@@ -226,16 +235,8 @@ def _emit(cfg: RunConfig, results: dict, rows=None, fieldnames=None):
     return 0
 
 
-def _fit_record(fit):
-    if fit is None:
-        return None
-    return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-            "points": [list(pt) for pt in fit.points]}
-
-
-def _cmd_constants(cfg):
-    n = _as_int(cfg.params["n"], "n", lo=1)
-    s = _as_s(cfg.params["s"])
+@_command("constants", n=("2", _as_int), s=("0.5", _S))
+def _cmd_constants(cfg, n, s):
     p = FracParams(n, s)
     return _emit(cfg, {"n": n, "s": s, "gamma_ns": gamma_ns(p), "c_ns": p.c_ns})
 
@@ -243,12 +244,11 @@ def _cmd_constants(cfg):
 _TORSION_DRAW = 65536  # Halton points torsion-check may draw
 
 
-def _cmd_torsion_check(cfg):
-    s = _as_s(cfg.params["s"])
-    k = _as_int(cfg.params["points"], "points")
-    min_dist = _as_float(cfg.params["min-dist"], "min-dist", lo=0.0)
+@_command("torsion-check", domain=("ball", _as_domain), s=("0.5", _S),
+          points=("20", _as_int), min_dist=("0.2", partial(_as_float, lo=0.0)))
+def _cmd_torsion_check(cfg, domain, s, points, min_dist):
     p = FracParams(2, s)
-    kind, args, dom = _parse_domain(cfg.params["domain"])
+    kind, args, dom = domain
     if kind == "ball":
         if args[0] != 1.0:
             raise CliError("torsion profile is defined on the unit ball")
@@ -257,19 +257,19 @@ def _cmd_torsion_check(cfg):
         f = torsion_ellipsoid(p, args[0])
     else:
         raise CliError("torsion-check supports ball and ellipsoid:EPS domains")
-    # the first k admissible points of the seed's 65,536-point stream; the
-    # stream is filtered in growing pieces, since prefixes agree and the
-    # filter is pointwise, and stops at the piece that completes the k
+    # the first `points` admissible points of the seed's 65,536-point stream;
+    # the stream is filtered in growing pieces, since prefixes agree and the
+    # filter is pointwise, and stops at the piece that completes them
     lo, hi = dom.bbox
     pts, drawn = np.empty((0, 2)), 0
-    while len(pts) < k and drawn < _TORSION_DRAW:
+    while len(pts) < points and drawn < _TORSION_DRAW:
         start, drawn = drawn, min(max(4 * drawn, 256), _TORSION_DRAW)
         cand = lo + (hi - lo) * halton_points(drawn, 2, cfg.seed)[start:]
         cand = cand[dom.contains(cand)]
         pts = np.concatenate([pts, cand[boundary_distance(dom, cand) >= min_dist]])
-    pts = pts[:k]
-    if len(pts) < k:
-        raise CliError(f"could not place {k} interior points at distance {min_dist}")
+    pts = pts[:points]
+    if len(pts) < points:
+        raise CliError(f"could not place {points} interior points at distance {min_dist}")
     res = frlap_eval(f, pts)
     rows, worst = [], 0.0
     for x, value, error, converged in zip(pts.tolist(), res.value.tolist(),
@@ -281,10 +281,9 @@ def _cmd_torsion_check(cfg):
                  rows=rows, fieldnames=("x1", "x2", "value", "error", "converged"))
 
 
-def _cmd_seminorm_ratio(cfg):
-    s = _as_s(cfg.params["s"])
-    eps = _as_float(cfg.params["eps"], "eps", lo=0.0, hi=0.25)
-    n_pairs = _as_int(cfg.params["n-pairs"], "n-pairs", lo=1000)
+@_command("seminorm-ratio", s=("0.5", _S), eps=(None, _STRETCH),
+          n_pairs=("100000", _N_PAIRS))
+def _cmd_seminorm_ratio(cfg, s, eps, n_pairs):
     p = FracParams(2, s)
     res = ellipsoid_seminorm(p, eps, budget=OptimBudget(n_pairs=n_pairs, seed=cfg.seed))
     limit = ellipsoid_ratio_limit(p)
@@ -294,20 +293,17 @@ def _cmd_seminorm_ratio(cfg):
                        "converged": res.converged})
 
 
-def _cmd_critical_plane(cfg):
-    _, _, dom = _parse_domain(cfg.params["domain"])
-    e = _as_direction(cfg.params["e"])
-    tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
-    res = critical_lambda(dom, e, tol=tol, seed=cfg.seed)
+@_command("critical-plane", domain=(None, _as_domain), e=("1,0", _as_direction),
+          tol=("1e-6", _TOL))
+def _cmd_critical_plane(cfg, domain, e, tol):
+    res = critical_lambda(domain[2], e, tol=tol, seed=cfg.seed)
     return _emit(cfg, {"plane": to_record(res)})
 
 
-def _cmd_slab_measure(cfg):
-    _, _, dom = _parse_domain(cfg.params["domain"])
-    e = _as_direction(cfg.params["e"])
-    gamma = _as_float(cfg.params["gamma"], "gamma", lo=0.0, hi=0.25, hi_open=False)
-    tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
-    n = _as_int(cfg.params["n"], "n", lo=100)
+@_command("slab-measure", domain=(None, _as_domain), e=("1,0", _as_direction),
+          gamma=("0.2", _GAMMA), tol=("1e-6", _TOL), n=("200000", _N))
+def _cmd_slab_measure(cfg, domain, e, gamma, tol, n):
+    dom = domain[2]
     res = critical_lambda(dom, e, tol=tol, seed=cfg.seed)
     est = slab_measure(dom, res, gamma, n, seed=cfg.seed)
     return _emit(cfg, {"plane": to_record(res),
@@ -315,44 +311,40 @@ def _cmd_slab_measure(cfg):
                                 "method": est.method, "n_samples": est.n_samples}})
 
 
-def _cmd_boundary_integral(cfg):
-    _, _, dom = _parse_domain(cfg.params["domain"])
-    s = _as_s(cfg.params["s"])
-    n = _as_int(cfg.params["n"], "n", lo=100)
-    est = boundary_weighted_integral(dom, s, n, seed=cfg.seed)
+@_command("boundary-integral", domain=(None, _as_domain), s=("0.5", _S),
+          n=("200000", _N))
+def _cmd_boundary_integral(cfg, domain, s, n):
+    est = boundary_weighted_integral(domain[2], s, n, seed=cfg.seed)
     return _emit(cfg, {"value": est.value, "error": est.error, "method": est.method,
                        "n_samples": est.n_samples})
 
 
-def _cmd_counterexample_scan(cfg):
-    alpha = _as_float(cfg.params["alpha"], "alpha", lo=1.0)
-    gamma = _as_float(cfg.params["gamma"], "gamma", lo=0.0, hi=0.25, hi_open=False)
-    tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
-    n = _as_int(cfg.params["n"], "n", lo=100)
-    eps = _as_float_list(cfg.params["eps"], "eps", lo=0.0, hi=0.05, hi_open=False)
+@_command("counterexample-scan", alpha=("2", _ALPHA),
+          eps=("1e-3,3e-4,1e-4,3e-5,1e-5", partial(_as_list, item=_HEIGHT)),
+          gamma=("0.2", _GAMMA), tol=("1e-8", _TOL), n=("200000", _N))
+def _cmd_counterexample_scan(cfg, alpha, eps, gamma, tol, n):
     scan = counterexample_scan(alpha, eps, gamma, tol=tol, n_slab=n, seed=cfg.seed)
-    return _emit(cfg, {"lambda_fit": _fit_record(scan.lambda_fit),
-                       "slab_fit": _fit_record(scan.slab_fit)},
+    return _emit(cfg, {"lambda_fit": asdict(scan.lambda_fit) if scan.lambda_fit else None,
+                       "slab_fit": asdict(scan.slab_fit) if scan.slab_fit else None},
                  rows=scan.rows, fieldnames=SCAN_FIELDS)
 
 
-def _cmd_stability_probe(cfg):
-    s = _as_s(cfg.params["s"])
-    eps = _as_float_list(cfg.params["eps"], "eps", lo=0.0, hi=0.25)
-    n_pairs = _as_int(cfg.params["n-pairs"], "n-pairs", lo=1000)
+@_command("stability-probe", s=("0.5", _S),
+          eps=("0.02,0.01,0.005", partial(_as_list, item=_STRETCH)),
+          n_pairs=("100000", _N_PAIRS))
+def _cmd_stability_probe(cfg, s, eps, n_pairs):
     p = FracParams(2, s)
     probe = stability_probe(p, eps, budget=OptimBudget(n_pairs=n_pairs, seed=cfg.seed))
-    return _emit(cfg, {"fit": _fit_record(probe.fit)},
+    return _emit(cfg, {"fit": asdict(probe.fit) if probe.fit else None},
                  rows=probe.rows, fieldnames=PROBE_FIELDS)
 
 
-def _cmd_lemma_check(cfg):
-    alpha = _as_float(cfg.params["alpha"], "alpha", lo=1.0)
-    tol = _as_float(cfg.params["tol"], "tol", lo=0.0, hi=0.1)
-    n = _as_int(cfg.params["n"], "n", lo=100)
-    eps = _as_float_list(cfg.params["eps"], "eps", lo=0.0, hi=0.05, hi_open=False)
-    gammas = _as_float_list(cfg.params["gamma"], "gamma", lo=0.0, hi=0.25, hi_open=False)
-    table = geometric_lemma_check(alpha, eps, gammas, tol=tol, n_slab=n, seed=cfg.seed)
+@_command("lemma-check", alpha=("2", _ALPHA),
+          eps=("1e-3,1e-4,1e-5", partial(_as_list, item=_HEIGHT)),
+          gamma=("0.2", partial(_as_list, item=_GAMMA)), tol=("1e-8", _TOL),
+          n=("200000", _N))
+def _cmd_lemma_check(cfg, alpha, eps, gamma, tol, n):
+    table = geometric_lemma_check(alpha, eps, gamma, tol=tol, n_slab=n, seed=cfg.seed)
     clean = [r for r in table.rows if not r["flag"]]
     results = {"rows": len(table.rows), "flagged": len(table.rows) - len(clean)}
     if clean:
@@ -361,28 +353,20 @@ def _cmd_lemma_check(cfg):
     return _emit(cfg, results, rows=table.rows, fieldnames=LEMMA_FIELDS)
 
 
-_DISPATCH = {
-    "constants": _cmd_constants,
-    "torsion-check": _cmd_torsion_check,
-    "seminorm-ratio": _cmd_seminorm_ratio,
-    "critical-plane": _cmd_critical_plane,
-    "slab-measure": _cmd_slab_measure,
-    "boundary-integral": _cmd_boundary_integral,
-    "counterexample-scan": _cmd_counterexample_scan,
-    "stability-probe": _cmd_stability_probe,
-    "lemma-check": _cmd_lemma_check,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = None
+    # the subparser stores its name here before it parses, so a payload for
+    # a flag that argparse rejects names the subcommand
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, namespace=args)
         if args.command is None:
-            raise CliError(f"missing subcommand (one of {', '.join(_SPECS)})")
-        cfg = _collect_config(args)
-        return _DISPATCH[cfg.command](cfg)
+            raise CliError(f"missing subcommand (one of {', '.join(_COMMANDS)})")
+        body, flags = _COMMANDS[args.command]
+        cfg = _collect_config(args, flags)
+        values = {k.replace("-", "_"): parse(cfg.params[k], k)
+                  for k, (_, parse) in flags.items()}
+        return body(cfg, **values)
     except _INPUT_ERRORS as exc:
         error, code = exc, 2
     except RuntimeError as exc:  # ProjectionError and other numerical failures

@@ -95,13 +95,22 @@ class TestErrors:
 
 
     def test_internal_fault_exits_four(self, capsys, monkeypatch):
-        def fail(cfg):
+        def fail(p):
             raise ValueError("an internal fault")
 
-        monkeypatch.setitem(cli._DISPATCH, "constants", fail)
+        monkeypatch.setattr(cli, "gamma_ns", fail)
         code, out, err = run(capsys, "constants")
         assert code == 4 and out == ""
         assert json.loads(err) == {"error": "an internal fault", "command": "constants"}
+
+    @pytest.mark.parametrize("argv, error", [
+        (("constants", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        (("critical-plane", "--domain"), "argument --domain: expected one argument"),
+    ], ids=["unknown-flag", "missing-value"])
+    def test_rejected_flag_names_its_subcommand(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": error, "command": argv[0]}
 
 
 _CONTRACT_ERRORS = {"ParameterDomainError", "ProjectionError", "CliError"}
@@ -196,6 +205,13 @@ class TestCriticalPlane:
         assert abs(plane["lambda"]) <= 2e-6
         assert plane["case"] != "unresolved"
 
+    # a value that starts with - and is not a plain number is still a value
+    @pytest.mark.parametrize("e", ["-1,0", "-0.6,-0.8"])
+    def test_negative_direction_is_a_value(self, capsys, e):
+        summary = run_json(capsys, "critical-plane", "--domain", "ball", "--e", e)
+        assert summary["params"]["e"] == e
+        assert abs(summary["results"]["plane"]["lambda"]) <= 2e-6
+
     def test_params_echoed_verbatim(self, capsys):
         summary = run_json(capsys, "critical-plane", "--domain", "bump:1e-3",
                            "--tol", "1e-5")
@@ -274,6 +290,25 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(codes, "scipy.stats" in sys.modules)
 """
         assert _run_python(script) == "[0, 0, 0] False"
+
+    def test_only_a_chart_boundary_integral_imports_scipy_spatial(self, tmp_path):
+        # the KD-tree serves the chart distance search alone; importing it
+        # costs about as much memory as all the rest of a command
+        script = f"""
+import contextlib, io, sys
+from fracshape.cli import main
+runs = [["critical-plane", "--domain", "bump:1e-3"],
+        ["slab-measure", "--domain", "bump:1e-3", "--n", "1000"],
+        ["counterexample-scan", "--eps", "1e-3,1e-4,1e-5", "--n", "1000"],
+        ["lemma-check", "--eps", "1e-3", "--n", "1000"],
+        ["stability-probe", "--eps", "0.02", "--n-pairs", "1000"],
+        ["torsion-check", "--domain", "ellipsoid:0.1", "--points", "5"],
+        ["boundary-integral", "--domain", "ellipsoid:0.1", "--n", "1000"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv + ["--out", {str(tmp_path)!r}]) for argv in runs]
+print(codes, "scipy.spatial" in sys.modules)
+"""
+        assert _run_python(script) == "[0, 0, 0, 0, 0, 0, 0] False"
 
 
 class TestResultShapes:
@@ -383,6 +418,7 @@ class TestCriticalPlaneInputs:
             code = main(["critical-plane", "--domain", domain, "--e", f"{e[0]!r},{e[1]!r}",
                          "--tol", repr(tol)])
         assert code in (0, 2, 3), err.getvalue()
+        assert "expected one argument" not in err.getvalue()
         if code == 0:
             plane = json.loads(out.getvalue())["results"]["plane"]
             assert math.isfinite(plane["lambda"]) and plane["lambda"] <= plane["Lambda"]
@@ -401,6 +437,7 @@ def _run_timed(argv):
     elapsed = time.perf_counter() - t0
     assert code in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    assert "expected one argument" not in err.getvalue()  # a value read as a flag
     assert elapsed < _BUDGET_S, f"{argv} took {elapsed:.1f}s"
     if code != 0:
         assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
@@ -446,6 +483,11 @@ class TestSlabMeasureInputs:
             assert math.isfinite(res["slab"]["error"]) and res["slab"]["error"] >= 0.0
             assert math.isfinite(res["plane"]["lambda"])
             assert res["plane"]["lambda"] <= res["plane"]["Lambda"]
+
+    def test_negative_direction_is_a_value(self, capsys):
+        summary = run_json(capsys, "slab-measure", "--domain", "bump:1e-3", "--e", "-1,0",
+                           "--n", "1000")
+        assert summary["params"]["e"] == "-1,0"
 
 
 def _float_list(lo, hi, max_size=3, **kw):

@@ -104,14 +104,20 @@ class TestSupportValue:
 
 class TestCriticalPlane:
 
+    # the contract for a reflection-symmetric domain along a symmetry axis:
+    # the scan stops at the centre up to tol and sampling residue (lambda
+    # between -3.4e-7 and -3.0e-7 at tol 1e-6), tagged internal-tangency
+    @pytest.mark.parametrize("e", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],
+                             ids=["+x", "-x", "+y", "-y"])
     @pytest.mark.parametrize("make", [
         lambda: ball((0.0, 0.0), 1.0),
         lambda: ellipsoid(0.1),
-    ])
-    def test_symmetric_domains_stop_at_center(self, make):
-        res = critical_lambda(make(), np.array([1.0, 0.0]), tol=1e-6)
+        lambda: ellipsoid(0.01),
+    ], ids=["ball", "ellipsoid-0.1", "ellipsoid-0.01"])
+    def test_symmetric_domains_stop_at_center(self, make, e):
+        res = critical_lambda(make(), np.array(e), tol=1e-6)
         assert abs(res.lam) <= 2e-6
-        assert res.case_tag != TAG_UNRESOLVED
+        assert res.case_tag == TAG_TANGENCY
 
     def test_bisection_stops_at_float_spacing(self, monkeypatch):
         # tol far below the float spacing near lambda: the bisection must stop
