@@ -8,13 +8,15 @@ a machine-readable JSON object ``{"error", "command"}`` on standard error
 and exit with status 2 for invalid input (a bad flag, an unreadable file or
 a ``ParameterDomainError`` from the library), 3 for a numerical failure (a
 ``ProjectionError``, for instance), or 4 for any other error, which is a
-fault of the program.
+fault of the program.  A reader that closes standard output early (as
+``| head`` does) ends the run with status 1 and no payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -366,7 +368,15 @@ def main(argv=None) -> int:
         cfg = _collect_config(args, flags)
         values = {k.replace("-", "_"): parse(cfg.params[k], k)
                   for k, (_, parse) in flags.items()}
-        return body(cfg, **values)
+        code = body(cfg, **values)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the input was fine; the reader went away.  Point stdout at devnull
+        # so the flush at exit cannot raise again (Python docs, "Note on
+        # SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _INPUT_ERRORS as exc:
         error, code = exc, 2
     except RuntimeError as exc:  # ProjectionError and other numerical failures

@@ -236,12 +236,18 @@ def ellipsoid(eps) -> ImplicitDomain:
 
 
 def _smoothstep(v):
-    """C-infinity monotone step: 0 for v <= 0, 1 for v >= 1."""
+    """C-infinity monotone step: 0 for v <= 0, 1 for v >= 1, NaN for NaN.
+
+    The two exponentials are taken only on the open interval (0, 1).
+    """
     v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        e0 = np.where(v > 0.0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
-        e1 = np.where(v < 1.0, np.exp(-1.0 / np.maximum(1.0 - v, 1e-300)), 0.0)
-    return e0 / (e0 + e1)
+    out = np.where(v <= 0.0, 0.0, np.where(v >= 1.0, 1.0, v))
+    mid = (v > 0.0) & (v < 1.0)
+    vm = v[mid]
+    e0 = np.exp(-1.0 / np.maximum(vm, 1e-300))
+    e1 = np.exp(-1.0 / (1.0 - vm))
+    out[mid] = e0 / (e0 + e1)
+    return out
 
 
 def odd_cutoff(t):
@@ -302,9 +308,9 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         pts = np.asarray(pts, dtype=float)
         x1, x2 = pts[..., 0], pts[..., 1]
         in_strip = (x1 > 0.0) & (x1 < 0.5) & (x2 > -1.5) & (x2 < -0.5)
-        circ = np.hypot(x1, x2) - 1.0
-        graph = psi(np.where(in_strip, x1, 0.0)) - x2
-        return np.where(in_strip, graph, circ)
+        out = np.asarray(np.hypot(x1, x2) - 1.0)
+        out[in_strip] = psi(x1[in_strip]) - x2[in_strip]
+        return out
 
     def circle_chart(t):
         t = np.asarray(t, dtype=float)

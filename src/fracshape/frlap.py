@@ -72,13 +72,23 @@ class FrlapResult:
 
 def power_field(p: FracParams, Q: np.ndarray, amp: float,
                 support: ImplicitDomain) -> ScalarField:
-    """Field ``amp * (1 - x^T Q x)_+^s`` with the given support domain."""
+    """Field ``amp * (1 - x^T Q x)_+^s`` with the given support domain.
+
+    ``Q`` is 2 x 2.  The quadratic form is summed as
+    ``(((x0 Q00 x0 + x0 Q01 x1) + x1 Q10 x0) + x1 Q11 x1)``, every product
+    taken left to right, element by element: each point of a batch gets
+    the bits of its own one-point call, whatever the batch's shape.
+    """
     Q = np.asarray(Q, dtype=float)
+    if Q.shape != (2, 2):
+        raise ParameterDomainError(f"power_field takes a 2 x 2 Q, got shape {Q.shape}")
+    (q00, q01), (q10, q11) = Q.tolist()
     s = p.s
 
     def eval_(pts):
         pts = np.asarray(pts, dtype=float)
-        q = np.einsum("...i,ij,...j", pts, Q, pts)
+        x0, x1 = pts[..., 0], pts[..., 1]
+        q = (((x0 * q00) * x0 + (x0 * q01) * x1) + (x1 * q10) * x0) + (x1 * q11) * x1
         return amp * np.maximum(0.0, 1.0 - q) ** s
 
     return ScalarField(eval=eval_, support=support, params=p, power_quad=(Q, float(amp)))

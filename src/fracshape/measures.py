@@ -62,27 +62,28 @@ def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
     the digit terms are summed in digit order, so the points are SciPy's
     scrambled Halton points for this seed, bit for bit.
 
+    A column is built a digit at a time: index h b^j + l, for l < b^j,
+    sums the terms of l and then digit j's term for h, so digit j is one
+    broadcast add over at most b^(j+1) indices.  Once every index is
+    covered, the remaining digits are 0 and add their constant terms.
+
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((n, dim))
     for col, b in enumerate(_primes(dim)):
-        perms = []
+        acc = np.zeros(1)  # the sums of the indices below b^j
+        b2r = 1.0 / b
         for _ in range(math.ceil(54 / math.log2(b)) - 1):
             perm = np.arange(b)
             rng.shuffle(perm)
-            perms.append(perm)
-        acc = np.zeros(n)
-        q = np.arange(n, dtype=np.int64)
-        b2r = 1.0 / b
-        for perm in perms:
-            if q.any():
-                acc += (perm * b2r)[q % b]
-                q //= b
-            else:  # every digit from here on is 0
-                acc += perm[0] * b2r
+            term = perm * b2r
+            if acc.size < n:
+                acc = (term[:min(b, -(-n // acc.size)), None] + acc).ravel()
+            elif term[0]:  # adding +0.0 to a sum >= 0 keeps its bits
+                acc += term[0]
             b2r /= b
-        out[:, col] = acc
+        out[:, col] = acc[:n]
     return out
 
 
@@ -174,7 +175,6 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
     def in_band(pts):
         return np.abs(np.sum(pts * e, axis=-1) - lam) <= gamma
 
-    sym_diff = _sym_diff(d, lam, e)
     dev = d.disk_deviation
     if dev is not None:
         base = _disk_slab_closed_form(gamma, lam, dev.radius)
@@ -190,9 +190,10 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         disk = np.zeros(2)
 
         def correction(pts):
+            mirrored = reflect(pts, lam, e)
             in_disk = np.linalg.norm(pts - disk, axis=-1) < dev.radius
-            in_disk_r = np.linalg.norm(reflect(pts, lam, e) - disk, axis=-1) < dev.radius
-            f = sym_diff(pts).astype(float)
+            in_disk_r = np.linalg.norm(mirrored - disk, axis=-1) < dev.radius
+            f = (d.contains(pts) ^ d.contains(mirrored)).astype(float)
             g = (in_disk ^ in_disk_r).astype(float)
             return in_band(pts) * (f - g)
 
@@ -211,6 +212,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
         if box[0, axis] >= box[1, axis]:
             return MeasureEstimate(value=0.0, error=0.0, method="closed-form",
                                    n_samples=0)
+    sym_diff = _sym_diff(d, lam, e)
     return mc_volume(lambda p: in_band(p) & sym_diff(p), box, n, seed)
 
 

@@ -27,6 +27,7 @@ from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
 _N_REFINE = 32  # best sampled pairs that go on to golden-section polish
 _ROUNDS = 3  # polish rounds, each one pass per pair coordinate
 _GRID = 2048  # chart nodes for the diagonal pairs and the coincidence rate
+_PAIR_BLOCK = 16384  # sampled pairs whose quotients are taken at once
 # A pair's numerator |f(x) - f(y)| carries rounding: the chart points are
 # rounded off the curve, where the field's normal slope is O(1), and the
 # field evaluation rounds again.  The worst polished pair seen, at
@@ -123,7 +124,10 @@ def _pair_sup(values, chart: Chart, budget: OptimBudget):
     t_b = np.concatenate([lo + span * u[:, 1], np.minimum(grid + h, hi),
                           np.maximum(grid - h, lo)])
 
-    vals = quotient(t_a, t_b)
+    # in blocks, which bounds the peak memory; the quotient is elementwise,
+    # so the blocks give the bits of one pass
+    vals = np.concatenate([quotient(t_a[i:i + _PAIR_BLOCK], t_b[i:i + _PAIR_BLOCK])
+                           for i in range(0, t_a.size, _PAIR_BLOCK)])
     order = np.argsort(vals)
     top = order[-_N_REFINE:]
     best_t, best_tt = t_a[top].copy(), t_b[top].copy()
@@ -161,10 +165,11 @@ def lipschitz_seminorm(values, chart: Chart,
     """Lower bound on sup |f(x)-f(y)|/|x-y| over the parametrized curve.
 
     ``values`` is f as a vectorized callable on points (for a
-    ``ScalarField``, pass its ``eval``).  The achieving pair is reported in
-    ambient coordinates.  With no closed form to check against,
-    ``converged`` only says that the last polish round stopped raising the
-    sup.
+    ``ScalarField``, pass its ``eval``); it is called on blocks of points,
+    so each value must depend on its own point only.  The achieving pair
+    is reported in ambient coordinates.  With no closed form to check
+    against, ``converged`` only says that the last polish round stopped
+    raising the sup.
     """
     value, (t, tt), converged = _pair_sup(values, chart, budget or OptimBudget())
     pair = np.stack([np.asarray(chart.fn(t), dtype=float),

@@ -113,6 +113,19 @@ class TestErrors:
         assert json.loads(err) == {"error": error, "command": argv[0]}
 
 
+    def test_closed_stdout_exits_one_without_payload(self, tmp_path):
+        # as under `| head`: a reader that leaves is not bad input
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fracshape.cli", "critical-plane", "--domain", "ball:0.5",
+             "--out", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # gone before the first byte is written
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 1 and err == b""
+
+
 _CONTRACT_ERRORS = {"ParameterDomainError", "ProjectionError", "CliError"}
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fracshape import seminorm
 from fracshape.domains import (Chart, _ellipse_axis_distance,
-                               _ellipse_distance, ball, boundary_distance,
+                               _ellipse_distance, _smoothstep, ball, boundary_distance,
                                bump_domain, bump_profile, chart_extreme,
                                chart_nodes, ellipsoid, erode, odd_cutoff, polish,
                                radial_extremes, signed_distance)
@@ -387,3 +387,82 @@ class TestBumpFamily:
         off_circle = np.abs(np.linalg.norm(samples, axis=-1) - 1.0) > 1e-9
         dev = samples[off_circle]
         assert np.all((dev >= box[0] - 1e-12) & (dev <= box[1] + 1e-12))
+
+
+def _old_smoothstep(v):
+    """The step as it was written before it was masked to (0, 1): both
+    exponentials on every point."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e0 = np.where(v > 0.0, np.exp(-1.0 / np.maximum(v, 1e-300)), 0.0)
+        e1 = np.where(v < 1.0, np.exp(-1.0 / np.maximum(1.0 - v, 1e-300)), 0.0)
+        return e0 / (e0 + e1)
+
+
+def _old_bump_level(eps, alpha, pts):
+    """The bump level as it was written before: ``psi`` (over the old step)
+    on every point, with out-of-strip points sent to tau = 0."""
+    center, width = eps ** (1.0 - 1.0 / alpha), eps ** (1.0 / alpha)
+
+    def psi(tau):
+        t = (tau - center) / width
+        taper = 1.0 - _old_smoothstep((np.abs(t) - 0.25) * 2.0)
+        return -np.sqrt(1.0 - tau * tau) - eps * (2.0 * t * taper)
+
+    pts = np.asarray(pts, dtype=float)
+    x1, x2 = pts[..., 0], pts[..., 1]
+    in_strip = (x1 > 0.0) & (x1 < 0.5) & (x2 > -1.5) & (x2 < -0.5)
+    circ = np.hypot(x1, x2) - 1.0
+    graph = psi(np.where(in_strip, x1, 0.0)) - x2
+    return np.where(in_strip, graph, circ)
+
+
+def _same_bits_nan_aware(got, want):
+    """Equal bytes, except that a NaN may carry either sign."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+_STEP_EDGES = np.array([
+    0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 5e-324, -5e-324,
+    1e-310, -1e-310, 2.2250738585072014e-308, 1e-300, 0.5, -1.0, 2.0, 1e308, -1e308,
+    np.inf, -np.inf, np.nan, -np.nan, np.nextafter(0.0, 1.0) * 7, 1.0 - 2.0 ** -53])
+
+
+class TestBumpKernelsKeepTheirBits:
+
+    def test_smoothstep_edges(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _smoothstep(_STEP_EDGES)
+        _same_bits_nan_aware(got, _old_smoothstep(_STEP_EDGES))
+        for v in _STEP_EDGES:
+            _same_bits_nan_aware(_smoothstep(v), _old_smoothstep(v))
+        assert _smoothstep(-0.0) == 0.0 and _smoothstep(1.0) == 1.0
+        assert np.signbit(_smoothstep(np.array([-0.0, -5e-324, -np.inf]))).sum() == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(), (7,), (3, 5), (200,)]))
+    @settings(max_examples=60, deadline=None)
+    def test_smoothstep_random_arrays(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(-0.5, 1.5, size=shape)
+        if v.ndim:
+            picks = rng.integers(0, v.size, size=max(1, v.size // 4))
+            v.flat[picks] = rng.choice(_STEP_EDGES, size=picks.size)
+        _same_bits_nan_aware(_smoothstep(v), _old_smoothstep(v))
+
+    @pytest.mark.parametrize("eps", [1e-3, 3e-5, 1e-2])
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.sampled_from([(2,), (1, 2), (37, 2), (3, 7, 2)]))
+    @settings(max_examples=25, deadline=None)
+    def test_bump_level(self, eps, seed, shape):
+        rng = np.random.default_rng(seed)
+        # around the strip (0, 1/2) x (-3/2, -1/2), a third of them on its
+        # edges x1 = 0 and x1 = 1/2
+        pts = rng.uniform((-0.1, -1.6), (0.6, -0.4), size=shape)
+        edge = pts.reshape(-1, 2)[::3]  # a view: writing it writes pts
+        edge[:, 0] = rng.choice([0.0, -0.0, 0.5], size=len(edge))
+        d = bump_domain(eps, 2.0)
+        _same_bits_nan_aware(d.level(pts), _old_bump_level(eps, 2.0, pts))

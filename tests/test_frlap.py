@@ -240,3 +240,49 @@ class TestBatch:
         with pytest.raises(ParameterDomainError, match="support") as batch:
             frlap_eval(f, X)
         assert str(batch.value) == str(single.value)
+
+
+_FORM_SHAPES = [(2,), (1, 2), (37, 2), (3, 7, 2), (8, 64, 64, 2)]
+
+
+def _einsum_profile(Q, amp, s, pts):
+    """The profile as it was written with ``einsum``: the reference for Qs
+    with a zero off-diagonal."""
+    return amp * np.maximum(0.0, 1.0 - np.einsum("...i,ij,...j", pts, Q, pts)) ** s
+
+
+class TestQuadraticForm:
+
+    @given(field=st.sampled_from([("ball", s, None) for s in (0.25, 0.5, 0.75)]
+                                 + [("ellipsoid", s, eps) for s in (0.25, 0.5, 0.75)
+                                    for eps in (0.2, 0.02, 1e-9)]),
+           shape=st.sampled_from(_FORM_SHAPES), fortran=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_diagonal_q_has_the_bits_of_einsum(self, field, shape, fortran, seed):
+        f = _batch_field(*field)
+        Q, amp = f.power_quad
+        pts = np.random.default_rng(seed).uniform(-1.3, 1.3, size=shape)
+        if fortran:
+            pts = np.asfortranarray(pts)
+        got = np.asarray(f.eval(pts))
+        want = np.asarray(_einsum_profile(Q, amp, f.params.s, pts))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(q=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           s=st.sampled_from([0.25, 0.5, 0.75]), shape=st.sampled_from(_FORM_SHAPES[1:4]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_has_the_bits_of_its_own_call(self, q, s, shape, seed):
+        # any Q, off-diagonal too: the form is elementwise, so no shape
+        # changes the order of its additions
+        f = power_field(FracParams(2, s), np.reshape(q, (2, 2)), 1.5, ball(np.zeros(2), 1.0))
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+        rows = pts.reshape(-1, 2)
+        batch = np.asarray(f.eval(pts)).reshape(-1)
+        own = np.concatenate([f.eval(x[None, :]) for x in rows])
+        assert batch.tobytes() == own.tobytes()
+
+    def test_q_must_be_two_by_two(self):
+        with pytest.raises(ParameterDomainError, match="2 x 2"):
+            power_field(FracParams(2, 0.5), np.eye(3), 1.0, ball(np.zeros(2), 1.0))

@@ -71,7 +71,10 @@ class TestHalton:
     def test_matches_scipy_bit_for_bit(self, seed, dim):
         from scipy.stats import qmc
 
-        for n in (1, 2, 1000, 4097, 65536):
+        # at and around 2^8, 3^7 and 2^16, where a column takes one more
+        # digit level
+        for n in (0, 1, 2, 255, 256, 257, 1000, 2186, 2187, 2188, 4097, 65535, 65536,
+                  65537):
             want = qmc.Halton(d=dim, scramble=True, seed=seed).random(n)
             got = halton_points(n, dim, seed)
             assert got.shape == want.shape == (n, dim)
@@ -122,6 +125,17 @@ class TestSlabMeasure:
         assert fast.value == pytest.approx(plain.value,
                                            abs=3.0 * (fast.error + plain.error))
         assert fast.error < plain.error
+
+    def test_correction_reflects_its_points_once(self, monkeypatch):
+        sizes, real = [], measures.reflect
+
+        def counting(pts, lam, e):
+            sizes.append(len(pts))
+            return real(pts, lam, e)
+
+        monkeypatch.setattr(measures, "reflect", counting)
+        est = slab_measure(bump_domain(1e-3, 2.0), plane_at(0.03), 0.2, 5000, seed=1)
+        assert est.method == "monte-carlo" and sizes.count(5000) == 1
 
     def test_band_width_validation(self):
         d = ball((0.0, 0.0), 1.0)
