@@ -14,12 +14,9 @@ from .movingplanes import (TAG_ORTHOGONAL, TAG_TANGENCY, TAG_UNRESOLVED,
 from .measures import (MeasureEstimate, boundary_weighted_integral,
                        halton_points, mc_volume, slab_measure,
                        sym_diff_measure)
-from .seminorm import (OptimBudget, SeminormResult,
-                       ellipsoid_chart, ellipsoid_ratio_limit,
-                       ellipsoid_seminorm, ellipsoid_seminorm_ratio,
-                       lipschitz_seminorm, phi0_quotient_sup,
-                       psi_profile, psi_profile_derivative,
-                       richardson_limit)
+from .seminorm import (OptimBudget, SeminormResult, ellipsoid_chart,
+                       ellipsoid_ratio_limit, ellipsoid_seminorm,
+                       phi0_quotient_sup, richardson_limit)
 from .experiments import (FitResult, LemmaResult, ProbeResult, ScanResult,
                           config_hash, counterexample_scan, exponent_fit,
                           geometric_lemma_check, stability_probe, write_table)

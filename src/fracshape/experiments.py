@@ -144,6 +144,17 @@ def _row_flags(res, tol: float):
     return "+".join(flags)
 
 
+def _bump_planes(alpha: float, eps_grid, tol: float, seed: int):
+    """Yields (i, eps, bump domain, critical plane) row by row over a
+    bump-height grid, the plane of row i swept at seed + i."""
+    eps_list = [float(e) for e in eps_grid]
+    if not eps_list:
+        raise ParameterDomainError("empty bump-height grid")
+    for i, eps in enumerate(eps_list):
+        dom = bump_domain(eps, alpha)
+        yield i, eps, dom, critical_lambda(dom, _SWEEP, tol=tol, seed=seed + i)
+
+
 def counterexample_scan(alpha: float, eps_grid, gamma: float, tol: float = 1e-8,
                         n_slab: int = 200_000, seed: int = 0) -> ScanResult:
     """Critical plane offset and slab measure of the bump family vs eps.
@@ -152,13 +163,8 @@ def counterexample_scan(alpha: float, eps_grid, gamma: float, tol: float = 1e-8,
     offset falls within 100x of the sweep tolerance are flagged and kept
     out of the fits.
     """
-    eps_list = [float(e) for e in eps_grid]
-    if not eps_list:
-        raise ParameterDomainError("empty bump-height grid")
     rows = []
-    for i, eps in enumerate(eps_list):
-        dom = bump_domain(eps, alpha)
-        res = critical_lambda(dom, _SWEEP, tol=tol, seed=seed + i)
+    for i, eps, dom, res in _bump_planes(alpha, eps_grid, tol, seed):
         est = slab_measure(dom, res, float(gamma), n_slab, seed=seed + i)
         rows.append({"eps": eps, "lam": res.lam, "slab": est.value,
                      "slab_err": est.error, "case": res.case_tag,
@@ -199,13 +205,8 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
     gamma_list = [float(g) for g in gamma_grid]
     if not gamma_list or not all(0.0 < g <= 0.25 for g in gamma_list):
         raise ParameterDomainError("slab grid must lie inside (0, 1/4]")
-    eps_list = [float(e) for e in eps_grid]
-    if not eps_list:
-        raise ParameterDomainError("empty bump-height grid")
     rows = []
-    for i, eps in enumerate(eps_list):
-        dom = bump_domain(eps, alpha)
-        res = critical_lambda(dom, _SWEEP, tol=tol, seed=seed + i)
+    for i, eps, dom, res in _bump_planes(alpha, eps_grid, tol, seed):
         rho_i, rho_e = radial_extremes(dom)
         gap = rho_e - rho_i
         for j, g in enumerate(gamma_list):

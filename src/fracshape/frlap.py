@@ -77,7 +77,10 @@ def power_field(p: FracParams, Q: np.ndarray, amp: float,
     ``Q`` is 2 x 2.  The quadratic form is summed as
     ``(((x0 Q00 x0 + x0 Q01 x1) + x1 Q10 x0) + x1 Q11 x1)``, every product
     taken left to right, element by element: each point of a batch gets
-    the bits of its own one-point call, whatever the batch's shape.
+    the bits of its own ``(1, 2)`` call, whatever the batch's shape.  A bare
+    2-vector is not a batch: its power is numpy's scalar pow, which can
+    round the last bit differently from the array pow.  ``_frlap_value``'s
+    f(x) and the seminorm pair's ends take that bare call on purpose.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (2, 2):

@@ -1,12 +1,11 @@
-"""Lipschitz seminorms on parametrized boundary curves and the offset-ellipse
-chart machinery behind the stretched-ball seminorm limit.
+"""The stretched-ball boundary seminorm and the offset-ellipse chart behind
+its small-stretch limit.
 
-The generic sup is a pair search (quasi-random pairs plus pairs 1e-4 of the
-span apart, golden-polished), a lower bound of the true sup.  On the
-stretched ball and the eps = 0 circle quotient the sup is the coincidence
-limit, a closed-form rate maximized along the chart; the pair search then
-only checks it, and a pair that beats it less its rounding allowance marks
-the result unconverged.
+On the stretched ball and the eps = 0 circle quotient the Lipschitz sup is
+the coincidence limit: one closed-form rate, maximized along the chart.  One
+pair search checks it (quasi-random pairs plus pairs 1e-4 of the span apart,
+golden-polished); a pair that beats it less its rounding allowance marks the
+result unconverged.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import Chart, chart_extreme
+from .domains import Chart, chart_extreme, polish
 from .frlap import torsion_ellipsoid
 from .measures import halton_points
-from .optim import golden_max
 from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
 
 
@@ -39,7 +37,7 @@ _MARGIN = 1e-9  # relative lead over the closed form that flags a pair
 
 @dataclass(frozen=True)
 class OptimBudget:
-    """Effort knobs for the pair-sampling sup search."""
+    """Effort knobs for the pair search that checks the closed form."""
 
     n_pairs: int = 100_000
     seed: int = 0
@@ -48,7 +46,6 @@ class OptimBudget:
 @dataclass(frozen=True)
 class SeminormResult:
     value: float
-    pair: np.ndarray
     converged: bool
 
 
@@ -101,19 +98,33 @@ def ellipsoid_chart(eps: float) -> Chart:
     return Chart(phi_eps, -1.0, 1.0)
 
 
-def _pair_sup(values, chart: Chart, budget: OptimBudget):
-    """sup over parameter pairs of |f(x)-f(y)|/|x-y| by sampling plus
-    refinement.  Returns (value, (t, t_tilde), converged).
-    """
+def _best_pair(values, chart: Chart, budget: OptimBudget):
+    """Ambient ends (x, y) of the pair that best bounds sup |f(x)-f(y)|/|x-y|
+    from below: quasi-random pairs plus pairs 1e-4 of the span apart, the
+    best ``_N_REFINE`` polished one end at a time against the other."""
     lo, hi = chart.lo, chart.hi
     span = hi - lo
 
-    def quotient(t, tt):
+    def end(t):
         x = np.asarray(chart.fn(t), dtype=float)
-        y = np.asarray(chart.fn(tt), dtype=float)
-        num = np.abs(np.asarray(values(x), dtype=float) - np.asarray(values(y), dtype=float))
+        return x, np.asarray(values(x), dtype=float)
+
+    def quotient(x, fx, y, fy):
         den = np.linalg.norm(x - y, axis=-1)
-        return np.where(den > 1e-14 * max(1.0, span), num / np.maximum(den, 1e-300), 0.0)
+        return np.where(den > 1e-14 * max(1.0, span),
+                        np.abs(fx - fy) / np.maximum(den, 1e-300), 0.0)
+
+    def polish_end(t0, fixed, width):
+        # golden_max calls g last at the t it returns: that end is the polished one
+        moved = None
+
+        def g(t):
+            nonlocal moved
+            moved = end(t)
+            return quotient(*moved, *fixed)
+
+        t, v = polish(g, lo, hi, t0, width / 2.0, maximize=True)
+        return t, moved, v
 
     u = halton_points(budget.n_pairs, 2, budget.seed)
     # Diagonal candidates: the sup of a smooth quotient often lives in the
@@ -126,55 +137,17 @@ def _pair_sup(values, chart: Chart, budget: OptimBudget):
 
     # in blocks, which bounds the peak memory; the quotient is elementwise,
     # so the blocks give the bits of one pass
-    vals = np.concatenate([quotient(t_a[i:i + _PAIR_BLOCK], t_b[i:i + _PAIR_BLOCK])
+    vals = np.concatenate([quotient(*end(t_a[i:i + _PAIR_BLOCK]), *end(t_b[i:i + _PAIR_BLOCK]))
                            for i in range(0, t_a.size, _PAIR_BLOCK)])
-    order = np.argsort(vals)
-    top = order[-_N_REFINE:]
-    best_t, best_tt = t_a[top].copy(), t_b[top].copy()
-    best = float(vals[order[-1]])
-
-    width = span / 100.0
-    improved = np.inf
+    top = np.argsort(vals)[-_N_REFINE:]
+    t, tt = t_a[top], t_b[top]
+    b, width = end(tt), span / 100.0
     for _ in range(_ROUNDS):
-        before = best
-        tt_fixed = best_tt
-
-        def g_first(t):
-            return quotient(t, tt_fixed)
-
-        best_t, _ = golden_max(g_first, np.maximum(best_t - width, lo),
-                               np.minimum(best_t + width, hi))
-        t_fixed = best_t
-
-        def g_second(tt):
-            return quotient(t_fixed, tt)
-
-        best_tt, v = golden_max(g_second, np.maximum(best_tt - width, lo),
-                                np.minimum(best_tt + width, hi))
-        best = max(best, float(np.max(v)))
+        t, a, _ = polish_end(t, b, width)
+        tt, b, v = polish_end(tt, a, width)
         width /= 20.0
-        improved = best - before
-    k = int(np.argmax(quotient(best_t, best_tt)))
-    pair = (float(best_t[k]), float(best_tt[k]))
-    converged = improved <= 1e-8 * max(1.0, best)
-    return best, pair, converged
-
-
-def lipschitz_seminorm(values, chart: Chart,
-                       budget: Optional[OptimBudget] = None) -> SeminormResult:
-    """Lower bound on sup |f(x)-f(y)|/|x-y| over the parametrized curve.
-
-    ``values`` is f as a vectorized callable on points (for a
-    ``ScalarField``, pass its ``eval``); it is called on blocks of points,
-    so each value must depend on its own point only.  The achieving pair
-    is reported in ambient coordinates.  With no closed form to check
-    against, ``converged`` only says that the last polish round stopped
-    raising the sup.
-    """
-    value, (t, tt), converged = _pair_sup(values, chart, budget or OptimBudget())
-    pair = np.stack([np.asarray(chart.fn(t), dtype=float),
-                     np.asarray(chart.fn(tt), dtype=float)])
-    return SeminormResult(value=value, pair=pair, converged=converged)
+    k = int(np.argmax(v))
+    return chart.fn(float(t[k])), chart.fn(float(tt[k]))
 
 
 def _closed_form_seminorm(values, chart: Chart, rate,
@@ -187,18 +160,19 @@ def _closed_form_seminorm(values, chart: Chart, rate,
     quotient less its rounding allowance (``_ROUNDING_ULPS`` of its larger
     field value, over its chord).  Unconverged only when the pair wins by
     more than ``_MARGIN``: an off-diagonal maximizer needs a real search.
-    When the closed form wins, the pair reported is its maximizer, twice.
+
+    ``values`` is f on blocks of points, each value of its own point only;
+    the pair's ends take bare one-point calls (scalar pow, see power_field).
     """
-    t, closed = chart_extreme(Chart(lambda r: r, chart.lo, chart.hi), rate, _GRID, 1,
+    _, closed = chart_extreme(Chart(lambda r: r, chart.lo, chart.hi), rate, _GRID, 1,
                               maximize=True)
-    res = lipschitz_seminorm(values, chart, budget)
-    fx, fy = (float(values(x)) for x in res.pair)
+    x, y = _best_pair(values, chart, budget or OptimBudget())
+    fx, fy = float(values(x)), float(values(y))
     allowance = _ROUNDING_ULPS * float(np.spacing(max(abs(fx), abs(fy))))
-    pair = (abs(fx - fy) - allowance) / float(np.linalg.norm(res.pair[0] - res.pair[1]))
+    pair = (abs(fx - fy) - allowance) / float(np.linalg.norm(x - y))
     if pair > closed:
-        return SeminormResult(pair, res.pair, converged=pair <= closed * (1.0 + _MARGIN))
-    x = np.asarray(chart.fn(t), dtype=float)
-    return SeminormResult(closed, np.stack([x, x]), converged=True)
+        return SeminormResult(pair, converged=pair <= closed * (1.0 + _MARGIN))
+    return SeminormResult(closed, converged=True)
 
 
 def ellipsoid_ratio_limit(p: FracParams) -> float:
@@ -240,11 +214,6 @@ def ellipsoid_seminorm(p: FracParams, eps: float,
     return res
 
 
-def ellipsoid_seminorm_ratio(p: FracParams, eps: float,
-                             budget: Optional[OptimBudget] = None) -> float:
-    return ellipsoid_seminorm(p, eps, budget=budget).value / float(eps)
-
-
 def richardson_limit(eps_values, ratios) -> float:
     """Polynomial extrapolation of (eps, ratio) data to eps = 0.
 
@@ -270,33 +239,3 @@ def phi0_quotient_sup(budget: Optional[OptimBudget] = None) -> float:
     return _closed_form_seminorm(lambda x: 4.0 * x[..., 1] ** 2, ellipsoid_chart(0.0),
                                  lambda r: 4.0 * np.abs(r) * np.sqrt(1.0 - r * r),
                                  budget).value
-
-
-# ---------------------------------------------------------------------------
-# first-order profile of the composed torsion value along the chart
-
-
-def psi_profile(s: float, eps: float, tau):
-    """First-order-in-eps remainder of the normalized torsion value along
-    the offset chart, as a function of tau = |r|.
-
-    Converges to zero pointwise; its derivative bound is what turns the
-    pointwise chart limit into a limit of the pair sup.  Accepts s = 1
-    (the profile formula itself degenerates gracefully).
-    """
-    if not 0.0 < eps < 1.0:
-        raise ParameterDomainError(f"profile stretch restricted to (0, 1), got {eps!r}")
-    tau = np.asarray(tau, dtype=float)
-    x = _offset_profile(float(eps), tau)[3]
-    return (x ** s - 0.75 ** s) / eps + 0.5 * s * 0.75 ** (s - 1.0) * (1.0 - tau * tau)
-
-
-def psi_profile_derivative(s: float, eps: float, tau):
-    """Closed-form d(psi_profile)/d(tau): the slope s X^(s-1) X'(tau) of the
-    composed profile power over eps, minus the quadratic ramp's slope
-    s tau (3/4)^(s-1).  The same slope, times gamma_nse, is the numerator
-    of the stretched-ball coincidence rate.
-    """
-    tau = np.asarray(tau, dtype=float)
-    _, _, _, x, dx = _offset_profile(float(eps), tau)
-    return s * dx * x ** (s - 1.0) / eps - s * tau * 0.75 ** (s - 1.0)

@@ -10,6 +10,7 @@ from fracshape import frlap
 from fracshape.domains import ball, boundary_distance
 from fracshape.frlap import (QuadratureConfig, barrier, frlap_eval, power_field,
                              torsion_ball, torsion_ellipsoid)
+from fracshape.measures import halton_points
 from fracshape.specfun import FracParams, ParameterDomainError, gamma_ns
 
 POINTS = [np.array(q) for q in [(0.0, 0.0), (0.3, 0.1), (-0.5, 0.4), (0.0, -0.7)]]
@@ -282,6 +283,25 @@ class TestQuadraticForm:
         batch = np.asarray(f.eval(pts)).reshape(-1)
         own = np.concatenate([f.eval(x[None, :]) for x in rows])
         assert batch.tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_bare_vectors_take_the_scalar_pow(self, s):
+        # a (1, 2) row has the bits of the batch; a bare 2-vector has those of
+        # float arithmetic, whose pow can round the last bit differently from
+        # numpy's array pow (a few hundred of these points differ where that
+        # pow is vectorized, as with AVX-512)
+        f = torsion_ellipsoid(FracParams(2, s), 0.02)
+        (q00, _), (_, q11) = f.power_quad[0].tolist()
+        amp = f.power_quad[1]
+        pts = 2.0 * halton_points(4096, 2, seed=0) - 1.0
+        batch = f.eval(pts)
+        rows = np.concatenate([f.eval(x[None, :]) for x in pts])
+        assert rows.tobytes() == batch.tobytes()
+        bare = np.array([float(f.eval(x)) for x in pts])
+        scalar = np.array([amp * max(0.0, 1.0 - ((x * q00) * x + (y * q11) * y)) ** s
+                           for x, y in pts.tolist()])
+        assert bare.tobytes() == scalar.tobytes()
+        assert np.all(np.abs(bare - batch) <= 4.0 * np.spacing(batch))
 
     def test_q_must_be_two_by_two(self):
         with pytest.raises(ParameterDomainError, match="2 x 2"):

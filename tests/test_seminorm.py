@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from fracshape.frlap import torsion_ellipsoid
 from fracshape.measures import halton_points
 from fracshape.seminorm import (OptimBudget, ellipsoid_chart,
                                 ellipsoid_ratio_limit, ellipsoid_seminorm,
-                                ellipsoid_seminorm_ratio, lipschitz_seminorm,
-                                phi0_quotient_sup, psi_profile,
-                                psi_profile_derivative, richardson_limit)
+                                phi0_quotient_sup, richardson_limit)
 from fracshape.specfun import FracParams, ParameterDomainError
 
 P = FracParams(2, 0.5)
@@ -24,37 +23,45 @@ def circle_chart():
                  0.0, 2.0 * math.pi)
 
 
+def pair_quotient(f, chart=None):
+    """|f(x) - f(y)| / |x - y| at the ends the private pair search returns."""
+    x, y = seminorm._best_pair(f, chart or circle_chart(), SMALL)
+    return float(np.abs(f(x) - f(y)) / np.linalg.norm(x - y))
+
+
 class TestLipschitzSeminorm:
 
     def test_coordinate_on_circle(self):
         # |cos a - cos b| / chord = |sin((a+b)/2)|, so the sup is exactly 1
-        res = lipschitz_seminorm(lambda x: x[..., 0], circle_chart(), SMALL)
-        assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert res.converged
+        quot = pair_quotient(lambda x: x[..., 0])
+        assert quot == pytest.approx(1.0, abs=1e-9)
+        assert quot <= 1.0 + 1e-12
 
     def test_constant_field_is_flat(self):
-        res = lipschitz_seminorm(lambda x: np.full(x.shape[:-1], 3.7),
-                                 circle_chart(), SMALL)
-        assert res.value == 0.0
+        assert pair_quotient(lambda x: np.full(x.shape[:-1], 3.7)) == 0.0
 
     def test_scale_covariance(self):
         def f(x):
             return np.sin(3.0 * x[..., 0]) + x[..., 1]
 
-        base = lipschitz_seminorm(f, circle_chart(), SMALL).value
+        base = pair_quotient(f)
         for c in (-2.0, 0.0):
-            scaled = lipschitz_seminorm(lambda x: c * f(x), circle_chart(), SMALL).value
-            assert scaled == abs(c) * base  # exact: zero and power-of-two scaling
+            assert pair_quotient(lambda x: c * f(x)) == abs(c) * base  # exact: zero and power-of-two scaling
         # a non power-of-two factor can flip near-tied candidate rankings, so
-        # the refined sup only matches to optimizer resolution, not an ulp
-        tripled = lipschitz_seminorm(lambda x: 3.0 * f(x), circle_chart(), SMALL).value
-        assert tripled == pytest.approx(3.0 * base, rel=1e-9)
+        # the refined pair only matches to optimizer resolution, not an ulp
+        assert pair_quotient(lambda x: 3.0 * f(x)) == pytest.approx(3.0 * base, rel=1e-9)
 
     def test_reports_achieving_pair(self):
-        res = lipschitz_seminorm(lambda x: x[..., 0], circle_chart(), SMALL)
-        x, y = res.pair
-        quot = abs(x[0] - y[0]) / np.linalg.norm(x - y)
-        assert quot == pytest.approx(res.value, rel=1e-9)
+        # the ends are chart points, and their polished quotient beats every
+        # sampled pair's
+        chart = circle_chart()
+        x, y = seminorm._best_pair(lambda x: x[..., 1], chart, SMALL)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
+        u = chart.lo + (chart.hi - chart.lo) * halton_points(SMALL.n_pairs, 2, SMALL.seed)
+        a, b = chart.fn(u[:, 0]), chart.fn(u[:, 1])
+        sampled = np.abs(a[:, 1] - b[:, 1]) / np.linalg.norm(a - b, axis=-1)
+        assert abs(x[1] - y[1]) / np.linalg.norm(x - y) >= float(np.max(sampled))
 
     def test_more_pairs_never_lose_ground(self):
         sem_small = ellipsoid_seminorm(P, 0.01, budget=OptimBudget(n_pairs=10_000))
@@ -100,8 +107,8 @@ class TestSeminormRatio:
 
     def test_ratio_approaches_limit(self):
         lim = ellipsoid_ratio_limit(P)
-        r1 = ellipsoid_seminorm_ratio(P, 0.02, budget=SMALL)
-        r2 = ellipsoid_seminorm_ratio(P, 0.005, budget=SMALL)
+        r1 = ellipsoid_seminorm(P, 0.02, budget=SMALL).value / 0.02
+        r2 = ellipsoid_seminorm(P, 0.005, budget=SMALL).value / 0.005
         assert abs(r2 - lim) < abs(r1 - lim)
         assert r2 == pytest.approx(lim, rel=0.01)
 
@@ -175,6 +182,26 @@ class TestClosedForm:
         assert not res.converged
         assert res.value / 0.01 == pytest.approx(ellipsoid_ratio_limit(P), rel=0.02)
 
+    def test_each_polish_pass_values_its_fixed_end_once(self, monkeypatch):
+        # a polish pass moves one end of each refined pair against the other,
+        # which stays put: its field values are taken once, not per step
+        shapes = []
+        field = seminorm.torsion_ellipsoid
+
+        def counted(p, eps):
+            f = field(p, eps)
+
+            def eval_(pts):
+                shapes.append(np.shape(pts))
+                return f.eval(pts)
+
+            return replace(f, eval=eval_)
+
+        monkeypatch.setattr(seminorm, "torsion_ellipsoid", counted)
+        ellipsoid_seminorm(P, 0.01, budget=SMALL)
+        refined = shapes.count((seminorm._N_REFINE, 2))
+        assert 0 < refined <= 2 * seminorm._ROUNDS + 2
+
 
 class TestQuotient:
 
@@ -195,6 +222,20 @@ class TestQuotient:
         ratio = dene / den0
         assert np.all(ratio > 1.0 - 5.0 * eps)
         assert np.all(ratio < 1.0 + 5.0 * eps)
+
+
+def psi_profile(s, eps, tau):
+    """First-order-in-eps remainder of the normalized torsion value
+    X^s along the offset chart, tau = |r|; it converges to zero pointwise."""
+    x = seminorm._offset_profile(eps, tau)[3]
+    return (x ** s - 0.75 ** s) / eps + 0.5 * s * 0.75 ** (s - 1.0) * (1.0 - tau * tau)
+
+
+def psi_profile_derivative(s, eps, tau):
+    """d(psi_profile)/d(tau) from the closed-form dX/dtau of the offset
+    profile, the slope the coincidence rate is built on."""
+    _, _, _, x, dx = seminorm._offset_profile(eps, tau)
+    return s * dx * x ** (s - 1.0) / eps - s * tau * 0.75 ** (s - 1.0)
 
 
 class TestProfile:
