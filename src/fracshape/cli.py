@@ -152,13 +152,15 @@ def _as_float(text, name, lo=None, hi=None, hi_open=True) -> float:
     return v
 
 
-def _as_int(text, name, lo=1) -> int:
+def _as_int(text, name, lo=1, hi=None) -> int:
     try:
         v = int(str(text), 10)
     except ValueError as exc:
         raise CliError(f"{name} is not an integer: {text!r}") from exc
     if lo is not None and v < lo:
         raise CliError(f"{name}={text} out of range (must be >= {lo})")
+    if hi is not None and v > hi:
+        raise CliError(f"{name}={text} out of range (must be <= {hi})")
     return v
 
 
@@ -172,8 +174,8 @@ def _as_list(text, name, item=_as_float) -> list:
 # the ranges that several flags, or a flag and a domain string, share
 _S = partial(_as_float, lo=0.0, hi=1.0)  # fractional order
 _TOL = partial(_as_float, lo=0.0, hi=0.1)
-_N = partial(_as_int, lo=100)  # sample count
-_N_PAIRS = partial(_as_int, lo=1000)
+_N = partial(_as_int, lo=100, hi=10**7)  # sample count; a run at the cap peaks under 1 GB
+_N_PAIRS = partial(_as_int, lo=1000, hi=10**7)
 _GAMMA = partial(_as_float, lo=0.0, hi=0.25, hi_open=False)  # slab half-width
 _ALPHA = partial(_as_float, lo=1.0)  # bump contact order
 _HEIGHT = partial(_as_float, lo=0.0, hi=0.05, hi_open=False)  # bump height

@@ -7,9 +7,10 @@ have shape ``(..., 2)`` and values come back with shape ``(...,)``.
 Every boundary quantity read off the charts (support values, radial extremes,
 distances, the moving-plane excess) uses one primitive: a uniform
 node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
-section within two node spacings of each (``polish``).  ``chart_extreme``
-is that primitive for an extremum of a function of the boundary point, and
-serves support values, radial extremes and the coincidence sup.
+section within two node spacings of each (``polish``, the package's only
+golden-section search).  ``chart_extreme`` is that primitive for an extremum
+of a function of the boundary point, and serves support values, radial
+extremes and the coincidence sup.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .optim import golden_max, golden_min
 from .specfun import ParameterDomainError
 
 
@@ -362,14 +362,33 @@ def chart_nodes(ch: Chart, m: int, phase: float = 0.5):
     return t, np.asarray(ch.fn(t), dtype=float), (ch.hi - ch.lo) / m
 
 
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
+
+
 def polish(fn, lo, hi, t0, spacing, maximize: bool):
     """Golden-section extremum of ``fn`` within two node spacings of ``t0``,
     clipped to the chart range ``[lo, hi]``; vectorized over ``t0`` and, for
-    brackets on several charts, over ``lo``, ``hi`` and ``spacing``.
-    Returns ``(t, value)``."""
+    brackets on several charts, over ``lo``, ``hi`` and ``spacing``.  Each of
+    at most 70 steps makes one call, ``fn`` of a ``(2, *shape)`` array of both
+    probes (``shape`` that of the brackets; ``fn`` must broadcast over the
+    leading axis), and the loop stops early at the brackets' fixed point, where
+    every later step would be the same.  The final call gets the midpoints
+    alone.  Returns ``(t, value)`` arrays; where ``fn`` is not unimodal on a
+    bracket, the extremum found there may be a local one."""
     lo = np.maximum(lo, t0 - 2.0 * spacing)
     hi = np.minimum(hi, t0 + 2.0 * spacing)
-    return (golden_max if maximize else golden_min)(fn, lo, hi)
+    for _ in range(70):
+        c = lo + _INVPHI2 * (hi - lo)
+        d = lo + _INVPHI * (hi - lo)
+        v = np.asarray(fn(np.stack([c, d])))
+        keep_left = v[0] >= v[1] if maximize else v[0] <= v[1]
+        if np.where(keep_left, d == hi, c == lo).all():
+            break  # the end that would move is there already
+        hi = np.where(keep_left, d, hi)
+        lo = np.where(keep_left, lo, c)
+    mid = 0.5 * (lo + hi)
+    return mid, np.asarray(fn(mid))
 
 
 def chart_extreme(ch: Chart, g, m: int, k: int, maximize: bool):

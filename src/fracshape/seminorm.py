@@ -115,7 +115,7 @@ def _best_pair(values, chart: Chart, budget: OptimBudget):
                         np.abs(fx - fy) / np.maximum(den, 1e-300), 0.0)
 
     def polish_end(t0, fixed, width):
-        # golden_max calls g last at the t it returns: that end is the polished one
+        # polish calls g last at the t it returns: that end is the polished one
         moved = None
 
         def g(t):

@@ -69,6 +69,10 @@ class TestErrors:
         ("critical-plane", "--domain", "ball", "--e", "1e308,1e308"),  # norm overflows
         ("constants", "--n", "400"),                  # gamma(200.5) overflows
         ("critical-plane", "--domain", "ball:1e300"),  # squared coordinates overflow
+        ("boundary-integral", "--domain", "bump:1e-3", "--n", "1000000000000000"),
+        ("boundary-integral", "--domain", "bump:1e-3", "--n", "10000001"),
+        ("seminorm-ratio", "--eps", "0.01", "--n-pairs", "1000000000000000"),
+        ("seminorm-ratio", "--eps", "0.01", "--n-pairs", "10000001"),
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -81,6 +85,19 @@ class TestErrors:
                            "--n-pairs", "1e4")
         assert code == 2
         assert "n-pairs" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("boundary-integral", "--domain", "bump:1e-3", "--n"), "n"),
+        (("seminorm-ratio", "--eps", "0.01", "--n-pairs"), "n-pairs"),
+    ])
+    def test_oversized_sample_counts_name_their_flag(self, capsys, argv, flag):
+        # 10^15 samples would ask numpy for petabytes
+        code, out, err = run(capsys, *argv, "1000000000000000")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == (
+            f"{flag}=1000000000000000 out of range (must be <= 10000000)")
+        parse = cli._N if flag == "n" else cli._N_PAIRS
+        assert parse("10000000", flag) == 10**7
 
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
