@@ -13,7 +13,10 @@ run (default: this tree's), so one script runs any two trees.  The list is
 the nine subcommands at their default configs (``bump:1e-3`` where a domain
 is required, ``--eps 0.01`` for ``seminorm-ratio``) plus the commands of the
 three benchmark workloads at program seeds 0-2 (the stability probes run at
-their fixed seed 0, so once).
+their fixed seed 0, so once), then the edge commands: the planes and slabs
+of the ball and ellipsoid domains, whose support values and exact distances
+no other command reaches.  New commands are appended, so the numbered
+directories of the earlier ones keep their names.
 
 ``diff`` prints every JSON leaf and CSV cell that differs, with its old and
 new value and, for two floats, their distance in ulps; a file on one side
@@ -57,6 +60,14 @@ BALL_ROWS = tuple((s, eps) for s in ("0.25", "0.5", "0.75")
                   for eps in ("0.02", "0.01", "0.005")) + (("0.5", "1e-9"),)
 SEEDS = (0, 1, 2)
 
+EDGE = [[cmd, "--domain", dom, "--e", e]
+        for cmd in ("critical-plane", "slab-measure")
+        for dom in ("ball", "ball:0.5", "ellipsoid:0.1")
+        for e in ("1,0", "0,1", "0.6,0.8")] + [
+    ["boundary-integral", "--domain", "ellipsoid:0.1", "--n", "20000"],
+    ["torsion-check", "--domain", "ellipsoid:0.2", "--points", "40"],
+]
+
 
 def commands() -> list:
     cmds = list(STATE)
@@ -69,7 +80,7 @@ def commands() -> list:
                   "--points", "100", "--seed", str(seed)] for s, eps in BALL_ROWS]
     cmds += [["stability-probe", "--s", s, "--eps", eps, "--seed", "0"]
              for s, eps in BALL_ROWS]
-    return cmds
+    return cmds + EDGE
 
 
 def run(out: Path, src: Path) -> int:

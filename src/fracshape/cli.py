@@ -29,7 +29,7 @@ from .domains import ball, bump_domain, boundary_distance, ellipsoid
 from .experiments import (LEMMA_FIELDS, PROBE_FIELDS, SCAN_FIELDS, config_hash,
                           counterexample_scan, geometric_lemma_check,
                           stability_probe, write_table)
-from .frlap import frlap_eval, torsion_ball, torsion_ellipsoid
+from .frlap import _INNER_RADIUS, frlap_eval, torsion_ball, torsion_ellipsoid
 from .measures import boundary_weighted_integral, halton_points, slab_measure
 from .movingplanes import critical_lambda, to_record
 from .seminorm import OptimBudget, ellipsoid_ratio_limit, ellipsoid_seminorm
@@ -249,7 +249,7 @@ _TORSION_DRAW = 65536  # Halton points torsion-check may draw
 
 
 @_command("torsion-check", domain=("ball", _as_domain), s=("0.5", _S),
-          points=("20", _as_int), min_dist=("0.2", partial(_as_float, lo=0.0)))
+          points=("20", _as_int), min_dist=("0.2", partial(_as_float, lo=_INNER_RADIUS)))
 def _cmd_torsion_check(cfg, domain, s, points, min_dist):
     p = FracParams(2, s)
     kind, args, dom = domain
@@ -275,12 +275,11 @@ def _cmd_torsion_check(cfg, domain, s, points, min_dist):
     if len(pts) < points:
         raise CliError(f"could not place {points} interior points at distance {min_dist}")
     res = frlap_eval(f, pts)
-    rows, worst = [], 0.0
-    for x, value, error, converged in zip(pts.tolist(), res.value.tolist(),
-                                          res.error.tolist(), res.converged.tolist()):
-        worst = max(worst, abs(value - 1.0))
-        rows.append({"x1": x[0], "x2": x[1], "value": value,
-                     "error": error, "converged": converged})
+    rows = [{"x1": x[0], "x2": x[1], "value": value, "error": error, "converged": converged}
+            for x, value, error, converged in zip(pts.tolist(), res.value.tolist(),
+                                                  res.error.tolist(), res.converged.tolist())]
+    # np.max, not max(): a NaN deviation must not read as the smaller value
+    worst = float(np.max(np.abs(res.value - 1.0)))
     return _emit(cfg, {"points": len(rows), "max_abs_dev": worst},
                  rows=rows, fieldnames=("x1", "x2", "value", "error", "converged"))
 
@@ -310,17 +309,13 @@ def _cmd_slab_measure(cfg, domain, e, gamma, tol, n):
     dom = domain[2]
     res = critical_lambda(dom, e, tol=tol, seed=cfg.seed)
     est = slab_measure(dom, res, gamma, n, seed=cfg.seed)
-    return _emit(cfg, {"plane": to_record(res),
-                       "slab": {"value": est.value, "error": est.error,
-                                "method": est.method, "n_samples": est.n_samples}})
+    return _emit(cfg, {"plane": to_record(res), "slab": asdict(est)})
 
 
 @_command("boundary-integral", domain=(None, _as_domain), s=("0.5", _S),
           n=("200000", _N))
 def _cmd_boundary_integral(cfg, domain, s, n):
-    est = boundary_weighted_integral(domain[2], s, n, seed=cfg.seed)
-    return _emit(cfg, {"value": est.value, "error": est.error, "method": est.method,
-                       "n_samples": est.n_samples})
+    return _emit(cfg, asdict(boundary_weighted_integral(domain[2], s, n, seed=cfg.seed)))
 
 
 @_command("counterexample-scan", alpha=("2", _ALPHA),

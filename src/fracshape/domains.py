@@ -10,7 +10,7 @@ node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
 section within two node spacings of each (``polish``, the package's only
 golden-section search).  ``chart_extreme`` is that primitive for an extremum
 of a function of the boundary point, and serves support values, radial
-extremes and the coincidence sup.
+extremes and the coincidence sup; no domain carries a closed form for them.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class ImplicitDomain:
     boundary_param: Optional[tuple] = None
     interior_ball_radius: Optional[float] = None
     normal: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    support_fn: Optional[Callable[[np.ndarray], float]] = None
     disk_deviation: Optional[DiskDeviation] = None
 
     def contains(self, pts) -> np.ndarray:
@@ -105,7 +104,6 @@ def ball(center, r) -> ImplicitDomain:
         boundary_param=(Chart(arc, 0.0, 2.0 * math.pi),),
         interior_ball_radius=rf,
         normal=normal,
-        support_fn=lambda e: float(center @ np.asarray(e, dtype=float)) + rf,
         disk_deviation=DiskDeviation(radius=rf) if np.all(center == 0.0) else None,
     )
 
@@ -114,32 +112,33 @@ def ball(center, r) -> ImplicitDomain:
 # stretched disks with semi-axes (1+eps, 1)
 
 
-def _ellipse_axis_distance(p1, a, b):
-    """Distance to the ellipse from points on the major axis (p2 = 0)."""
+def _ellipse_axis_distance(p1, a):
+    """Distance to the ellipse x^2/a^2 + y^2 = 1, a > 1, from points on the
+    major axis (p2 = 0)."""
     p1 = np.abs(p1)
-    f2 = a * a - b * b
-    inner = p1 < f2 / a if f2 > 0 else np.zeros_like(p1, dtype=bool)
-    x_hat = np.where(inner, a * a * p1 / max(f2, 1e-300), 0.0)
-    y_hat = np.where(inner, b * np.sqrt(np.maximum(0.0, 1.0 - (x_hat / a) ** 2)), 0.0)
+    f2 = a * a - 1.0
+    inner = p1 < f2 / a
+    x_hat = np.where(inner, a * a * p1 / f2, 0.0)
+    y_hat = np.where(inner, np.sqrt(np.maximum(0.0, 1.0 - (x_hat / a) ** 2)), 0.0)
     d_inner = np.hypot(p1 - x_hat, y_hat)
     return np.where(inner, d_inner, np.abs(p1 - a))
 
 
-def _foot_solve(q1, q2, a, b, t_lo, t_hi, shift1, shift2):
+def _foot_solve(q1, q2, a, t_lo, t_hi, shift1, shift2):
     """Bisect the normal-foot equation (a q1 / (t + shift1))^2
-    + (b q2 / (t + shift2))^2 = 1 on ``[t_lo, t_hi]``, where the left side
+    + (q2 / (t + shift2))^2 = 1 on ``[t_lo, t_hi]``, where the left side
     falls monotonically in t.  Returns the feet and the residual,
     ``(f1, f2, res)``.
 
     At most 90 steps; it stops early at the bracket's fixed point, since a
     step that moves no end leaves every later step the same.
     """
-    aq1, bq2 = a * q1, b * q2
+    aq1 = a * q1
     with np.errstate(over="ignore", divide="ignore"):
         for _ in range(90):
             mid = 0.5 * (t_lo + t_hi)
             u = aq1 / (mid + shift1)
-            v = bq2 / (mid + shift2)
+            v = q2 / (mid + shift2)
             pos = u * u + v * v - 1.0 > 0.0
             if (mid == np.where(pos, t_lo, t_hi)).all():
                 break  # the end that would move to mid is mid already
@@ -147,47 +146,46 @@ def _foot_solve(q1, q2, a, b, t_lo, t_hi, shift1, shift2):
             t_hi = np.where(pos, t_hi, mid)
         t = 0.5 * (t_lo + t_hi)
         u = aq1 / (t + shift1)
-        v = bq2 / (t + shift2)
+        v = q2 / (t + shift2)
         res = np.abs(u * u + v * v - 1.0)
-    return a * a * q1 / (t + shift1), b * b * q2 / (t + shift2), res
+    return a * a * q1 / (t + shift1), q2 / (t + shift2), res
 
 
-def _ellipse_distance(p1, p2, a, b):
-    """Unsigned distance from (p1, p2) to the ellipse x^2/a^2 + y^2/b^2 = 1.
+def _ellipse_distance(p1, p2, a):
+    """Unsigned distance from (p1, p2) to the ellipse x^2/a^2 + y^2 = 1, a >= 1.
 
     Solves the normal-foot equation for the Lagrange parameter t by
     bisection (monotone, bracket guaranteed; at most 90 steps, stopping
     once the bracket no longer moves), vectorized over points.  Near the
-    centre the root sits within O(p2) of -b^2, finer than the float spacing
+    centre the root sits within O(p2) of -1, finer than the float spacing
     of t there, so points that miss the residual are solved again in
-    s = t + b^2.  The axis p2 == 0 case has closed-form feet and is handled
+    s = t + 1.  The axis p2 == 0 case has closed-form feet and is handled
     separately.
     """
     p1 = np.abs(np.asarray(p1, dtype=float))
     p2 = np.abs(np.asarray(p2, dtype=float))
-    if a == b:
-        return np.abs(np.hypot(p1, p2) - a)
+    if a == 1.0:
+        return np.abs(np.hypot(p1, p2) - 1.0)
     # Below this height the on-axis feet are accurate to ~1e-12 and the
     # floating-point bracket for the off-axis solve degenerates.
     off_axis = p2 > 1e-12
     q1 = np.where(off_axis, p1, 0.0)
     q2 = np.where(off_axis, p2, 1.0)  # placeholder keeps the bracket valid
 
-    b2 = b * b
-    t_lo = np.full_like(q1, -b2 * (1.0 - 1e-12) if b2 > 0 else 0.0)
-    t_hi = math.sqrt(2.0) * (a * q1 + b * q2) + 1.0
-    f1, f2, res = _foot_solve(q1, q2, a, b, t_lo, t_hi, a * a, b2)
+    t_lo = np.full_like(q1, -(1.0 - 1e-12))
+    t_hi = math.sqrt(2.0) * (a * q1 + q2) + 1.0
+    f1, f2, res = _foot_solve(q1, q2, a, t_lo, t_hi, a * a, 1.0)
     redo = off_axis & (res > 1e-10)
     if np.any(redo):
         r1, r2 = q1[redo], q2[redo]
-        s_hi = t_hi[redo] + b2
+        s_hi = t_hi[redo] + 1.0
         f1[redo], f2[redo], res[redo] = _foot_solve(
-            r1, r2, a, b, np.full_like(r1, b2 * 1e-12), s_hi, a * a - b2, 0.0)
+            r1, r2, a, np.full_like(r1, 1e-12), s_hi, a * a - 1.0, 0.0)
     d_off = np.hypot(q1 - f1, q2 - f2)
     if np.any(off_axis) and float(np.max(np.where(off_axis, res, 0.0))) > 1e-10:
         raise ProjectionError(
             f"ellipse projection residual {float(np.max(res)):.3e} above 1e-10")
-    return np.where(off_axis, d_off, _ellipse_axis_distance(p1, a, b))
+    return np.where(off_axis, d_off, _ellipse_axis_distance(p1, a))
 
 
 def ellipsoid(eps) -> ImplicitDomain:
@@ -204,7 +202,7 @@ def ellipsoid(eps) -> ImplicitDomain:
     def sdf(pts):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 2)  # 1-d arrays for _ellipse_distance, also for one point
-        d = _ellipse_distance(flat[:, 0], flat[:, 1], a, 1.0)
+        d = _ellipse_distance(flat[:, 0], flat[:, 1], a)
         return np.where(level(flat) < 0.0, -d, d).reshape(pts.shape[:-1])
 
     def normal(pts):
@@ -216,10 +214,6 @@ def ellipsoid(eps) -> ImplicitDomain:
         t = np.asarray(t, dtype=float)
         return np.stack([a * np.cos(t), np.sin(t)], axis=-1)
 
-    def support(e):
-        e = np.asarray(e, dtype=float)
-        return math.sqrt((a * e[0]) ** 2 + e[1] ** 2)
-
     return ImplicitDomain(
         level=level,
         bbox=np.array([[-a, -1.0], [a, 1.0]]),
@@ -227,7 +221,6 @@ def ellipsoid(eps) -> ImplicitDomain:
         boundary_param=(Chart(arc, 0.0, 2.0 * math.pi),),
         interior_ball_radius=1.0 / a,
         normal=normal,
-        support_fn=support,
     )
 
 
@@ -461,35 +454,28 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
     just the parent SDF shifted by rho).
     """
     rhof = float(rho)
-    if d.interior_ball_radius is None:
-        raise ParameterDomainError("erosion needs a known interior ball radius")
+    if any(v is None for v in (d.interior_ball_radius, d.exact_sdf, d.boundary_param,
+                               d.normal)):
+        raise ParameterDomainError(
+            "erosion needs a known interior ball radius, exact SDF, charts and normal")
     if not 0.0 < rhof < d.interior_ball_radius:
         raise ParameterDomainError(
             f"erosion depth must lie in (0, {d.interior_ball_radius:g}), got {rho!r}")
 
-    def level(pts):
-        return signed_distance(d, pts) + rhof
+    def sdf(pts, _sdf=d.exact_sdf):
+        return _sdf(pts) + rhof
 
-    exact = None
-    if d.exact_sdf is not None:
-        def exact(pts, _sdf=d.exact_sdf):
-            return _sdf(pts) + rhof
-
-    charts = None
-    if d.boundary_param and d.normal is not None:
-        def offset(ch):
-            def fn(t, _fn=ch.fn):
-                q = np.asarray(_fn(t), dtype=float)
-                return q - rhof * d.normal(q)
-            return Chart(fn, ch.lo, ch.hi, ch.dense)
-
-        charts = tuple(offset(ch) for ch in d.boundary_param)
+    def offset(ch):
+        def fn(t, _fn=ch.fn):
+            q = np.asarray(_fn(t), dtype=float)
+            return q - rhof * d.normal(q)
+        return Chart(fn, ch.lo, ch.hi, ch.dense)
 
     return ImplicitDomain(
-        level=level,
+        level=sdf,
         bbox=d.bbox.copy(),
-        exact_sdf=exact,
-        boundary_param=charts,
+        exact_sdf=sdf,
+        boundary_param=tuple(offset(ch) for ch in d.boundary_param),
         interior_ball_radius=d.interior_ball_radius - rhof,
         normal=d.normal,
     )

@@ -30,6 +30,14 @@ from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
 
 _TOL = 0.01  # self-error, relative to max(1, |value|), that counts as converged
 _INNER_RADIUS = 0.05  # smallest admissible distance from a kinked support's boundary
+# Largest order evaluated.  As s -> 1 the inner rule puts nearly all its
+# weight on its first node, at r ~ 2 r0 (1 - s) / m^2, where
+# 2 f(x) - f(x+z) - f(x-z) cancels to rounding, so the error grows as
+# (1 - s)^-2.  At points 0.05-0.052 from the boundary of the ball and of
+# stretched balls up to 0.2499 it is at most 1.6e-3 at s = 0.98 and 8.1e-3
+# at s = 0.99, above ``_TOL`` from s ~ 0.995 while ``error`` can still
+# meet it, and from 1 - s ~ 1e-12 the two rules agree on garbage.
+_S_MAX = 0.98
 _SPLIT = 0.5  # inner/outer cutoff as a fraction of that distance
 _BLOCK = 8  # points per vectorised quadrature pass (about 2 MB of node arrays)
 
@@ -265,12 +273,16 @@ def frlap_eval(f: ScalarField, x, acc: Optional[QuadratureConfig] = None) -> Frl
     point gives floats and a bool, a batch gives arrays of length k, and
     each point of a batch gets the bits of its own one-point call.  A batch
     is checked in point order and raises the error of its first point that
-    is outside the support or too close to its boundary.
+    is outside the support or too close to its boundary.  Orders above
+    ``_S_MAX`` are refused.
     """
     acc = acc or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     if f.params.n != 2 or x.ndim not in (1, 2) or x.shape[-1] != 2:
         raise ParameterDomainError("quadrature implemented for n = 2 points only")
+    if not f.params.s <= _S_MAX:
+        raise ParameterDomainError(
+            f"s={f.params.s!r} out of the quadrature's range (must be <= {_S_MAX})")
     pts = x.reshape(-1, 2)
     if f.inner_scale is None:
         outside = f.support.level(pts) >= 0.0

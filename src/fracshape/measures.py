@@ -179,10 +179,11 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
     if dev is not None:
         base = _disk_slab_closed_form(gamma, lam, dev.radius)
         # The plane offset itself is only known to res.tol; propagate that
-        # through the closed-form part.
-        err_geom = (_disk_slab_closed_form(gamma, abs(lam) + res.tol, dev.radius)
-                    - _disk_slab_closed_form(gamma, max(abs(lam) - res.tol, 0.0),
-                                             dev.radius))
+        # through the closed-form part as the width of its values' interval
+        # (at a tiny gamma rounding can order the two ends either way).
+        err_geom = abs(_disk_slab_closed_form(gamma, abs(lam) + res.tol, dev.radius)
+                       - _disk_slab_closed_form(gamma, max(abs(lam) - res.tol, 0.0),
+                                                dev.radius))
         if dev.box is None:
             return MeasureEstimate(value=base, error=err_geom, method="closed-form",
                                    n_samples=0)

@@ -55,10 +55,8 @@ def reflect(x, mu: float, e) -> np.ndarray:
 
 
 def support_value(d: ImplicitDomain, e) -> float:
-    """sup of x.e over the domain (exact when the domain knows it)."""
+    """sup of x.e over the domain, read off its boundary charts."""
     e = _unit(e)
-    if d.support_fn is not None:
-        return float(d.support_fn(e))
     if not d.boundary_param:
         raise ProjectionError("support value needs a boundary parametrization")
     return max(chart_extreme(ch, lambda q: q @ e, 4096, 4, maximize=True)[1]

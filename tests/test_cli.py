@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracshape import cli
@@ -73,6 +74,8 @@ class TestErrors:
         ("boundary-integral", "--domain", "bump:1e-3", "--n", "10000001"),
         ("seminorm-ratio", "--eps", "0.01", "--n-pairs", "1000000000000000"),
         ("seminorm-ratio", "--eps", "0.01", "--n-pairs", "10000001"),
+        ("torsion-check", "--min-dist", "0.05"),      # the quadrature's inner radius
+        ("torsion-check", "--min-dist", "0.01"),
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -98,6 +101,16 @@ class TestErrors:
             f"{flag}=1000000000000000 out of range (must be <= 10000000)")
         parse = cli._N if flag == "n" else cli._N_PAIRS
         assert parse("10000000", flag) == 10**7
+
+    @pytest.mark.parametrize("argv, message", [
+        (("torsion-check", "--min-dist", "0.05"), "min-dist=0.05 out of range (must be > 0.05)"),
+        (("torsion-check", "--s", "0.99"),
+         "s=0.99 out of the quadrature's range (must be <= 0.98)"),
+    ])
+    def test_torsion_check_ranges_name_their_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == message
 
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -483,6 +496,10 @@ class TestTorsionCheckInputs:
            s=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            points=st.integers(1, 300),
            min_dist=_floats(0.0, 0.5, exclude_min=True))
+    # orders within 1e-14 of 1, where the quadrature's values are NaN or its
+    # two rules agree on garbage
+    @example(domain="ball", s=0.99999999999999, points=20, min_dist=0.2)
+    @example(domain="ball", s=0.9999999999999999, points=20, min_dist=0.2)
     def test_accepted_input_ends_within_budget_or_exits_two_or_three(
             self, domain, s, points, min_dist):
         with tempfile.TemporaryDirectory() as tmp:
@@ -492,7 +509,13 @@ class TestTorsionCheckInputs:
             if code == 0:
                 assert res["points"] == points
                 (csv_art,) = Path(tmp).glob("*.csv")
-                assert len(csv_art.read_text().splitlines()) == points + 1
+                rows = list(csv.DictReader(io.StringIO(csv_art.read_text())))
+                assert len(rows) == points
+                dev = [abs(float(r["value"]) - 1.0) for r in rows]
+                # a NaN deviation is reported as NaN, never as a smaller one
+                assert repr(res["max_abs_dev"]) == repr(max(dev, key=lambda v: (v != v, v)))
+                for r, d in zip(rows, dev):
+                    assert r["converged"] == "False" or d <= 1e-2, r
 
 
 class TestSlabMeasureInputs:
@@ -504,6 +527,10 @@ class TestSlabMeasureInputs:
            gamma=_floats(0.0, 0.25, exclude_min=True),
            tol=_floats(1e-10, 1e-3),
            n=st.integers(100, 2000))
+    # at a tiny gamma the closed-form disk part's two ends round either way
+    # round, and the error bar must still be >= 0
+    @example(domain="bump:0.03125:2.0", e=(0.0, 1.0), gamma=5.004602393795784e-07,
+             tol=1.192092896e-07, n=100)
     def test_accepted_input_ends_within_budget_or_exits_two_or_three(
             self, domain, e, gamma, tol, n):
         code, res = _run_timed(["slab-measure", "--domain", domain, "--e", f"{e[0]!r},{e[1]!r}",

@@ -1,10 +1,32 @@
+import argparse
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+from fracshape import cli
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+
+def _listed_commands():
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.commands()
+
+
+def test_every_listed_command_passes_the_flag_validators():
+    # what cli.main does before it runs a body, for each listed argv
+    for argv in _listed_commands():
+        args = argparse.Namespace()
+        cli._build_parser().parse_args(argv, namespace=args)
+        _, flags = cli._COMMANDS[args.command]
+        cfg = cli._collect_config(args, flags)
+        for key, (_, parse) in flags.items():
+            parse(cfg.params[key], key)
 
 
 def _up(x, k):

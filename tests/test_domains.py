@@ -35,21 +35,21 @@ ELLIPSE_DIST_REF = [
 ]
 
 
-def _ninety_step_distance(p1, p2, a, b):
-    """The ellipse distance by exactly 90 bisection steps in t, and the
-    residual of each foot: the solve without an early stop."""
+def _ninety_step_distance(p1, p2, a):
+    """The distance to the ellipse x^2/a^2 + y^2 = 1 by exactly 90 bisection
+    steps in t, and the residual of each foot: the solve without an early
+    stop."""
     p1, p2 = np.abs(p1), np.abs(p2)
     off_axis = p2 > 1e-12
     q1 = np.where(off_axis, p1, 0.0)
     q2 = np.where(off_axis, p2, 1.0)
-    b2 = b * b
-    t_lo = np.full_like(q1, -b2 * (1.0 - 1e-12))
-    t_hi = math.sqrt(2.0) * (a * q1 + b * q2) + 1.0
+    t_lo = np.full_like(q1, -(1.0 - 1e-12))
+    t_hi = math.sqrt(2.0) * (a * q1 + q2) + 1.0
 
     def gap(t):
         with np.errstate(over="ignore", divide="ignore"):
             u = a * q1 / (t + a * a)
-            v = b * q2 / (t + b2)
+            v = q2 / (t + 1.0)
             return u * u + v * v - 1.0
 
     for _ in range(90):
@@ -59,8 +59,8 @@ def _ninety_step_distance(p1, p2, a, b):
         t_hi = np.where(pos, t_hi, mid)
     t = 0.5 * (t_lo + t_hi)
     f1 = a * a * q1 / (t + a * a)
-    f2 = b2 * q2 / (t + b2)
-    dist = np.where(off_axis, np.hypot(q1 - f1, q2 - f2), _ellipse_axis_distance(p1, a, b))
+    f2 = q2 / (t + 1.0)
+    dist = np.where(off_axis, np.hypot(q1 - f1, q2 - f2), _ellipse_axis_distance(p1, a))
     return dist, np.where(off_axis, np.abs(gap(t)), 0.0)
 
 
@@ -136,6 +136,19 @@ _EXTREME_DOMAINS = {
     "ellipsoid:0.1": lambda: ellipsoid(0.1),
     "bump:1e-3": lambda: bump_domain(1e-3, 2.0),
 }
+
+
+def _ellipse_support(a):
+    """sup of x.e over the ellipse x^2/a^2 + y^2 <= 1, in closed form."""
+    return lambda e: math.sqrt((a * e[0]) ** 2 + e[1] ** 2)
+
+
+# test-local oracles: sup x.e in closed form
+_CLOSED_FORM_SUPPORTS = [
+    ("ball", ball((0.0, 0.0), 1.0), lambda e: 1.0),
+    ("ball:0.5", ball((0.0, 0.0), 0.5), lambda e: 0.5),
+] + [(f"ellipsoid:{eps}", ellipsoid(eps), _ellipse_support(1.0 + eps))
+     for eps in (0.01, 0.1, 0.2)]
 _STRETCHED_BALL_ROWS = [(s, eps) for s in (0.25, 0.5, 0.75)
                         for eps in (0.02, 0.01, 0.005)] + [(0.5, 1e-9)]
 
@@ -144,11 +157,19 @@ class TestChartExtreme:
 
     @pytest.mark.parametrize("name", sorted(_EXTREME_DOMAINS))
     def test_support_value_keeps_the_loop_bits(self, name):
-        # without its closed form the support value is read off the charts
-        d = dataclasses.replace(_EXTREME_DOMAINS[name](), support_fn=None)
+        d = _EXTREME_DOMAINS[name]()
         for e in [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0),
                   (0.3, -1.0), (-0.6, 0.8), (1.0, 0.2)]:
             assert _hex([support_value(d, e)]) == _hex([_loop_support(d, e)]), e
+
+    @pytest.mark.parametrize("name, d, support", _CLOSED_FORM_SUPPORTS,
+                             ids=[c[0] for c in _CLOSED_FORM_SUPPORTS])
+    def test_support_value_matches_the_closed_form(self, name, d, support):
+        # 36 directions, 10 degrees apart, each within 2 ulps of sup x.e
+        for k in range(36):
+            e = np.array([math.cos(k * math.pi / 18.0), math.sin(k * math.pi / 18.0)])
+            want = support(e / np.linalg.norm(e))
+            assert abs(support_value(d, e) - want) <= 2.0 * np.spacing(want), (name, k)
 
     @pytest.mark.parametrize("name", sorted(_EXTREME_DOMAINS))
     def test_radial_extremes_keep_the_loop_bits(self, name):
@@ -342,15 +363,15 @@ class TestEllipsoid:
         a = 1.0 + eps
         xy = np.array([(a * math.cos(u) * (1.0 + v), math.sin(u) * (1.0 + v))
                        if kind == "rim" else (u, v) for kind, u, v in pts])
-        want, res = _ninety_step_distance(xy[:, 0], xy[:, 1], a, 1.0)
-        got = _ellipse_distance(xy[:, 0], xy[:, 1], a, 1.0)
+        want, res = _ninety_step_distance(xy[:, 0], xy[:, 1], a)
+        got = _ellipse_distance(xy[:, 0], xy[:, 1], a)
         solved = res <= 1e-10
         assert got[solved].tobytes() == want[solved].tobytes()
         for k in np.flatnonzero(solved):
-            one = _ellipse_distance(xy[k:k + 1, 0], xy[k:k + 1, 1], a, 1.0)
+            one = _ellipse_distance(xy[k:k + 1, 0], xy[k:k + 1, 1], a)
             assert one.tobytes() == want[k:k + 1].tobytes()
         # the 90 steps in t miss the residual near the centre; those points
-        # are solved again in s = t + b^2
+        # are solved again in s = t + 1
         for k in np.flatnonzero(~solved):
             assert got[k] == pytest.approx(_polar_distance(xy[k], a, 1.0), abs=1e-9)
 
@@ -393,6 +414,12 @@ class TestErosion:
         inner = erode(ellipsoid(0.2), 0.4)
         samples = boundary_samples(inner, 256)
         assert np.max(np.abs(inner.level(samples))) < 1e-9
+
+    @pytest.mark.parametrize("drop", ["exact_sdf", "normal", "boundary_param"])
+    def test_needs_exact_sdf_charts_and_normal(self, drop):
+        d = dataclasses.replace(ball((0.0, 0.0), 1.0), **{drop: None})
+        with pytest.raises(ParameterDomainError, match="erosion needs"):
+            erode(d, 0.3)
 
     def test_depth_must_fit_interior_ball(self):
         with pytest.raises(ParameterDomainError, match="erosion depth must lie in"):
