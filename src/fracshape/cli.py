@@ -100,7 +100,7 @@ def _collect_config(args, flags) -> RunConfig:
         if val is not None:
             params[key] = val
     cfg = RunConfig(command=args.command, params=params,
-                    seed=_as_int(args.seed, "seed", lo=0),
+                    seed=_SEED(args.seed, "seed"),
                     output_path=args.out)
     if args.config:
         try:
@@ -124,7 +124,7 @@ def _collect_config(args, flags) -> RunConfig:
         for k, v in raw_params.items():
             cfg.params[k] = v if isinstance(v, str) else str(v)
         if "seed" in raw:
-            cfg.seed = _as_int(raw["seed"], "seed", lo=0)
+            cfg.seed = _SEED(raw["seed"], "seed")
         if "output_path" in raw:
             cfg.output_path = str(raw["output_path"])
     missing = [k for k, (d, _) in flags.items() if d is None and k not in cfg.params]
@@ -176,6 +176,7 @@ _S = partial(_as_float, lo=0.0, hi=1.0)  # fractional order
 _TOL = partial(_as_float, lo=0.0, hi=0.1)
 _N = partial(_as_int, lo=100, hi=10**7)  # sample count; a run at the cap peaks under 1 GB
 _N_PAIRS = partial(_as_int, lo=1000, hi=10**7)
+_SEED = partial(_as_int, lo=0, hi=2**64 - 1)  # the scan phase takes it times a float
 _GAMMA = partial(_as_float, lo=0.0, hi=0.25, hi_open=False)  # slab half-width
 _ALPHA = partial(_as_float, lo=1.0)  # bump contact order
 _HEIGHT = partial(_as_float, lo=0.0, hi=0.05, hi_open=False)  # bump height
@@ -268,7 +269,7 @@ def _cmd_torsion_check(cfg, domain, s, points, min_dist):
     pts, drawn = np.empty((0, 2)), 0
     while len(pts) < points and drawn < _TORSION_DRAW:
         start, drawn = drawn, min(max(4 * drawn, 256), _TORSION_DRAW)
-        cand = lo + (hi - lo) * halton_points(drawn, 2, cfg.seed)[start:]
+        cand = lo + (hi - lo) * halton_points(drawn, cfg.seed)[start:]
         cand = cand[dom.contains(cand)]
         pts = np.concatenate([pts, cand[boundary_distance(dom, cand) >= min_dist]])
     pts = pts[:points]

@@ -8,9 +8,11 @@ Every boundary quantity read off the charts (support values, radial extremes,
 distances, the moving-plane excess) uses one primitive: a uniform
 node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
 section within two node spacings of each (``polish``, the package's only
-golden-section search).  ``chart_extreme`` is that primitive for an extremum
-of a function of the boundary point, and serves support values, radial
-extremes and the coincidence sup; no domain carries a closed form for them.
+golden-section search), which maps each chart's brackets with that chart and
+polishes the brackets of all charts in one loop.  ``chart_extreme`` is that
+primitive for an extremum of a function of the boundary point, and serves
+support values, radial extremes and the coincidence sup; no domain carries a
+closed form for them.
 """
 
 from __future__ import annotations
@@ -359,42 +361,49 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
-def polish(fn, lo, hi, t0, spacing, maximize: bool):
-    """Golden-section extremum of ``fn`` within two node spacings of ``t0``,
-    clipped to the chart range ``[lo, hi]``; vectorized over ``t0`` and, for
-    brackets on several charts, over ``lo``, ``hi`` and ``spacing``.  Each of
-    at most 70 steps makes one call, ``fn`` of a ``(2, *shape)`` array of both
-    probes (``shape`` that of the brackets; ``fn`` must broadcast over the
-    leading axis), and the loop stops early at the brackets' fixed point, where
-    every later step would be the same.  The final call gets the midpoints
-    alone.  Returns ``(t, value)`` arrays; where ``fn`` is not unimodal on a
-    bracket, the extremum found there may be a local one."""
-    lo = np.maximum(lo, t0 - 2.0 * spacing)
-    hi = np.minimum(hi, t0 + 2.0 * spacing)
+def polish(g, parts, maximize: bool):
+    """Golden-section extremum of ``g`` of chart points within two node
+    spacings of each start.  ``parts`` holds ``(chart, t0, spacing)``
+    triples, ``t0`` 1-d: each chart's brackets are clipped to its range and
+    mapped by its ``fn``, and ``g`` gets all the points, stacked in the
+    order of ``parts`` on axis ``u.ndim - 1`` of the parameters ``u``.
+    Each of at most 70 steps makes one call, ``g`` of both probes on a
+    leading axis of length 2, and the loop stops early at the brackets'
+    fixed point, where every later step would be the same.  The final call
+    gets the midpoints alone.  Returns stacked ``(t, value)``; where ``g``
+    is not unimodal on a bracket, the extremum found may be a local one."""
+    lo = np.concatenate([np.maximum(ch.lo, t0 - 2.0 * sp) for ch, t0, sp in parts])
+    hi = np.concatenate([np.minimum(ch.hi, t0 + 2.0 * sp) for ch, t0, sp in parts])
+    split = np.cumsum([np.size(t0) for _, t0, _ in parts])[:-1]
+
+    def fn(u):
+        pts = [ch.fn(uk) for (ch, _, _), uk in zip(parts, np.split(u, split, axis=-1))]
+        return np.asarray(g(np.concatenate(pts, axis=u.ndim - 1)))
+
     for _ in range(70):
         c = lo + _INVPHI2 * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
-        v = np.asarray(fn(np.stack([c, d])))
+        v = fn(np.stack([c, d]))
         keep_left = v[0] >= v[1] if maximize else v[0] <= v[1]
         if np.where(keep_left, d == hi, c == lo).all():
             break  # the end that would move is there already
         hi = np.where(keep_left, d, hi)
         lo = np.where(keep_left, lo, c)
     mid = 0.5 * (lo + hi)
-    return mid, np.asarray(fn(mid))
+    return mid, fn(mid)
 
 
-def chart_extreme(ch: Chart, g, m: int, k: int, maximize: bool):
-    """Extremum of ``g(point)`` along a chart: the ``k`` best of the chart's
-    ``m`` nodes, each polished.  The nodes are ranked by a stable sort, so
-    of tied nodes the first is taken.  Returns ``(t, value)``."""
-    t, pts, spacing = chart_nodes(ch, m)
-    v = np.asarray(g(pts), dtype=float)
-    best = np.argsort(-v if maximize else v, kind="stable")[:k]
-    tt, vals = polish(lambda u: g(np.asarray(ch.fn(u), dtype=float)), ch.lo, ch.hi,
-                      t[best], spacing, maximize)
-    i = int(np.argmax(vals) if maximize else np.argmin(vals))
-    return float(tt[i]), float(vals[i])
+def chart_extreme(charts, g, m: int, k: int, maximize: bool) -> float:
+    """Extremum of ``g(point)`` over the charts: the ``k`` best of each
+    chart's ``m`` nodes, all polished in one call.  The nodes are ranked by
+    a stable sort, so of tied nodes the first is taken."""
+    parts = []
+    for ch in charts:
+        t, pts, spacing = chart_nodes(ch, m)
+        v = np.asarray(g(pts), dtype=float)
+        parts.append((ch, t[np.argsort(-v if maximize else v, kind="stable")[:k]], spacing))
+    _, vals = polish(g, parts, maximize)
+    return float(vals[np.argmax(vals) if maximize else np.argmin(vals)])
 
 
 def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
@@ -407,17 +416,13 @@ def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
 
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
-    best = np.full(flat.shape[0], np.inf)
+    parts = []
     for ch in d.boundary_param:
         t, nodes, spacing = chart_nodes(ch, 2048)
-        _, idx = cKDTree(nodes).query(flat)
-
-        def gap(tt, _fn=ch.fn):
-            return np.linalg.norm(np.asarray(_fn(tt), dtype=float) - flat, axis=-1)
-
-        _, dist = polish(gap, ch.lo, ch.hi, t[idx], spacing, maximize=False)
-        best = np.minimum(best, dist)
-    return best.reshape(pts.shape[:-1])
+        parts.append((ch, t[cKDTree(nodes).query(flat)[1]], spacing))
+    each = np.tile(flat, (len(parts), 1))  # every point once per chart
+    _, dist = polish(lambda q: np.linalg.norm(q - each, axis=-1), parts, maximize=False)
+    return dist.reshape(len(parts), -1).min(axis=0).reshape(pts.shape[:-1])
 
 
 def boundary_distance(d: ImplicitDomain, x) -> np.ndarray:
@@ -489,12 +494,8 @@ def radial_extreme(d: ImplicitDomain, maximize: bool) -> float:
     """Farthest (``maximize``) or nearest boundary point's distance from the
     origin, chart-refined."""
     m = max(256, 4096 // len(d.boundary_param))
-
-    def radius(q):
-        return np.linalg.norm(q, axis=-1)
-
-    pick = max if maximize else min
-    return pick(chart_extreme(ch, radius, m, 4, maximize)[1] for ch in d.boundary_param)
+    return chart_extreme(d.boundary_param, lambda q: np.linalg.norm(q, axis=-1), m, 4,
+                         maximize)
 
 
 def radial_extremes(d: ImplicitDomain):

@@ -41,22 +41,13 @@ class MeasureEstimate:
     n_samples: int
 
 
-def _primes(k: int) -> list:
-    out, c = [], 2
-    while len(out) < k:
-        if all(c % p for p in out if p * p <= c):
-            out.append(c)
-        c += 1
-    return out
-
-
-def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
-    """First ``n`` scrambled Halton points in [0,1)^dim for this seed.
+def halton_points(n: int, seed: int) -> np.ndarray:
+    """First ``n`` scrambled Halton points in [0,1)^2 for this seed.
 
     Owen's randomized Halton (A. B. Owen, "A randomized Halton algorithm
     in R", arXiv:1706.02808, 2017): coordinate i is the radical inverse in
-    the i-th prime base b, each digit j mapped through its own random
-    permutation of 0..b-1, for every j with 1 - b^-(j+1) < 1.  The
+    the i-th prime base b (2, then 3), each digit j mapped through its own
+    random permutation of 0..b-1, for every j with 1 - b^-(j+1) < 1.  The
     permutations are shuffles of ``arange(b)`` by one
     ``np.random.default_rng(seed)``, base by base and digit by digit, and
     the digit terms are summed in digit order, so the points are SciPy's
@@ -70,8 +61,8 @@ def halton_points(n: int, dim: int, seed: int) -> np.ndarray:
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
     rng = np.random.default_rng(seed)
-    out = np.empty((n, dim))
-    for col, b in enumerate(_primes(dim)):
+    out = np.empty((n, 2))
+    for col, b in enumerate((2, 3)):
         acc = np.zeros(1)  # the sums of the indices below b^j
         b2r = 1.0 / b
         for _ in range(math.ceil(54 / math.log2(b)) - 1):
@@ -94,7 +85,7 @@ def _box_volume(box: np.ndarray) -> float:
 def _draw(box: np.ndarray, n: int, seed: int) -> np.ndarray:
     """The first ``n`` scrambled Halton points of this seed, mapped onto the box."""
     lo, hi = box[0], box[1]
-    return lo + (hi - lo) * halton_points(n, lo.size, seed)
+    return lo + (hi - lo) * halton_points(n, seed)
 
 
 def _mean_3sigma(vals):
@@ -244,7 +235,7 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     t, theta = np.empty(n_shells * per), np.empty(n_shells * per)
     jacs = []
     for k in range(n_shells):
-        uu = halton_points(per, 2, seed + k)
+        uu = halton_points(per, seed + k)
         sl = slice(k * per, (k + 1) * per)
         t_hi = h * 2.0 ** (-k)
         if k == n_shells - 1:

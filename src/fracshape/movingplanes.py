@@ -59,8 +59,7 @@ def support_value(d: ImplicitDomain, e) -> float:
     e = _unit(e)
     if not d.boundary_param:
         raise ProjectionError("support value needs a boundary parametrization")
-    return max(chart_extreme(ch, lambda q: q @ e, 4096, 4, maximize=True)[1]
-               for ch in d.boundary_param)
+    return chart_extreme(d.boundary_param, lambda q: q @ e, 4096, 4, maximize=True)
 
 
 def _chart_grids(d: ImplicitDomain, seed: int):
@@ -94,27 +93,18 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
         refl = pts[mask] - 2.0 * side[mask, None] * e
         lv = np.atleast_1d(np.asarray(d.level(refl), dtype=float))
         i = int(np.argmax(lv))
-        found.append((ch, t[mask][i], spacing, float(lv[i]), refl[i]))
+        found.append(((ch, t[mask][i:i + 1], spacing), float(lv[i]), refl[i]))
     if not found:
         return -math.inf, None
-    charts, t0, spacing, vals, pts = zip(*found)
-    vals, pts = list(vals), list(pts)
+    parts, vals, pts = map(list, zip(*found))
     if refine:
-        def gain(tt):
-            # tt holds one parameter per chart on its last axis, both golden
-            # probes on a leading one.  q.e chart by chart and probe by probe:
-            # a many-row product can round an oblique e differently from the
-            # one-row product of a lone bracket
-            q = [np.asarray(ch.fn(tt[..., k:k + 1]), dtype=float)
-                 for k, ch in enumerate(charts)]
-            s_ = np.concatenate([qk @ e for qk in q], axis=-1) - mu
-            r = np.concatenate(q, axis=-2) - 2.0 * s_[..., None] * e
+        def gain(q):
+            s_ = q @ e - mu
+            r = q - 2.0 * s_[..., None] * e
             return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float), -np.abs(s_))
 
-        t_ref, v_ref = polish(gain, np.array([ch.lo for ch in charts]),
-                              np.array([ch.hi for ch in charts]), np.array(t0),
-                              np.array(spacing), maximize=True)
-        for k, ch in enumerate(charts):
+        t_ref, v_ref = polish(gain, parts, maximize=True)
+        for k, (ch, _, _) in enumerate(parts):
             if float(v_ref[k]) > vals[k]:
                 q = np.asarray(ch.fn(float(t_ref[k])), dtype=float)
                 vals[k] = float(v_ref[k])

@@ -118,15 +118,15 @@ def _best_pair(values, chart: Chart, budget: OptimBudget):
         # polish calls g last at the t it returns: that end is the polished one
         moved = None
 
-        def g(t):
+        def g(x):
             nonlocal moved
-            moved = end(t)
+            moved = x, np.asarray(values(x), dtype=float)
             return quotient(*moved, *fixed)
 
-        t, v = polish(g, lo, hi, t0, width / 2.0, maximize=True)
+        t, v = polish(g, [(chart, t0, width / 2.0)], maximize=True)
         return t, moved, v
 
-    u = halton_points(budget.n_pairs, 2, budget.seed)
+    u = halton_points(budget.n_pairs, budget.seed)
     # Diagonal candidates: the sup of a smooth quotient often lives in the
     # coincidence limit, which blind pair sampling approaches only slowly.
     grid = lo + span * (np.arange(_GRID) + 0.5) / _GRID
@@ -164,8 +164,8 @@ def _closed_form_seminorm(values, chart: Chart, rate,
     ``values`` is f on blocks of points, each value of its own point only;
     the pair's ends take bare one-point calls (scalar pow, see power_field).
     """
-    _, closed = chart_extreme(Chart(lambda r: r, chart.lo, chart.hi), rate, _GRID, 1,
-                              maximize=True)
+    closed = chart_extreme([Chart(lambda r: r, chart.lo, chart.hi)], rate, _GRID, 1,
+                           maximize=True)
     x, y = _best_pair(values, chart, budget or OptimBudget())
     fx, fy = float(values(x)), float(values(y))
     allowance = _ROUNDING_ULPS * float(np.spacing(max(abs(fx), abs(fy))))

@@ -41,7 +41,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 def _interior_points(dom, k: int, min_dist: float) -> np.ndarray:
-    pts = halton_points(65536, 2, seed=0)
+    pts = halton_points(65536, seed=0)
     lo, hi = dom.bbox
     pts = lo + pts * (hi - lo)
     keep = dom.contains(pts) & (boundary_distance(dom, pts) >= min_dist)
@@ -126,7 +126,7 @@ def test_07_erosion_dilation_round_trip():
     dom = ellipsoid(0.1)
     inner = erode(dom, 0.5)
 
-    pts = halton_points(100_000, 2, seed=3)
+    pts = halton_points(100_000, seed=3)
     lo, hi = dom.bbox
     pts = lo + pts * (hi - lo)
     sd_parent = signed_distance(dom, pts)
@@ -148,7 +148,7 @@ def test_07_erosion_dilation_round_trip():
 def test_08_boundary_ratio_attains_the_sharp_constant():
     p = FracParams(2, 0.5)
     field = torsion_ball(p)
-    pts = halton_points(16384, 2, seed=5)
+    pts = halton_points(16384, seed=5)
     pts = 2.0 * pts - 1.0
     r = np.linalg.norm(pts, axis=-1)
     keep = r < 1.0 - 1e-9
@@ -168,11 +168,11 @@ def test_09_barrier_antisymmetry_sandwich_and_operator_bound():
     rho = 1.0 / 16.0
     phi = barrier(p, a, rho)
 
-    pts = halton_points(10_000, 2, seed=7) * 2.0 - 1.0
+    pts = halton_points(10_000, seed=7) * 2.0 - 1.0
     mirrored = pts * np.array([-1.0, 1.0])
     antisym = np.array_equal(phi.eval(pts), -phi.eval(mirrored))
 
-    u = halton_points(10_000, 2, seed=9)
+    u = halton_points(10_000, seed=9)
     rad = 0.5 * rho * np.sqrt(u[:, 0])
     ang = 2.0 * math.pi * u[:, 1]
     near = a + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)

@@ -76,6 +76,10 @@ class TestErrors:
         ("seminorm-ratio", "--eps", "0.01", "--n-pairs", "10000001"),
         ("torsion-check", "--min-dist", "0.05"),      # the quadrature's inner radius
         ("torsion-check", "--min-dist", "0.01"),
+        ("critical-plane", "--domain", "bump:1e-3", "--seed", "18446744073709551616"),
+        ("slab-measure", "--domain", "ball", "--seed", str(10**400)),
+        ("counterexample-scan", "--seed", "18446744073709551616"),
+        ("lemma-check", "--seed", "18446744073709551616"),
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -111,6 +115,21 @@ class TestErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == message
+
+    def test_seed_is_capped_at_two_to_the_64_less_one(self, capsys, tmp_path):
+        # a larger seed would overflow the float product that sets the scan's
+        # grid phase; the cap itself runs the scan and the slab
+        top = str(2**64 - 1)
+        for argv in (("critical-plane", "--domain", "bump:1e-3"),
+                     ("slab-measure", "--domain", "ball", "--n", "1000")):
+            code, out, err = run(capsys, *argv, "--seed", str(2**64), "--out", str(tmp_path))
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == f"seed={2**64} out of range (must be <= {top})"
+            summary = run_json(capsys, *argv, "--seed", top, "--out", str(tmp_path))
+            assert summary["seed"] == 2**64 - 1
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"seed": 2**64 - 1}))
+        assert run_json(capsys, "constants", "--config", str(cfg_file))["seed"] == 2**64 - 1
 
     def test_numerical_failure_exits_three(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -222,6 +241,7 @@ class TestRunConfig:
         {"seed": [1]},
         {"seed": 1.5},
         {"seed": -1},
+        {"seed": 2**64},
     ])
     def test_malformed_config_exits_two(self, capsys, tmp_path, raw):
         cfg_file = tmp_path / "run.json"
@@ -270,15 +290,15 @@ class TestTorsionCheckDraw:
             self, capsys, monkeypatch, tmp_path):
         dom = ellipsoid(0.1)
         lo, hi = dom.bbox
-        full = lo + (hi - lo) * halton_points(65536, 2, 0)
+        full = lo + (hi - lo) * halton_points(65536, 0)
         full = full[dom.contains(full)]
         want = full[boundary_distance(dom, full) >= 0.3][:2000]
 
         drawn, seen = [], []
 
-        def counting_draw(n, dim, seed):
+        def counting_draw(n, seed):
             drawn.append(n)
-            return halton_points(n, dim, seed)
+            return halton_points(n, seed)
 
         def record(f, x):
             seen.append(np.array(x))

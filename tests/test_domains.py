@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape import seminorm
+from fracshape import domains, seminorm
 from fracshape.domains import (Chart, _ellipse_axis_distance,
                                _ellipse_distance, _smoothstep, ball, boundary_distance,
                                bump_domain, bump_profile, chart_extreme,
@@ -94,10 +94,7 @@ def _loop_support(d, e):
     for ch in d.boundary_param:
         t, pts, spacing = chart_nodes(ch, 4096)
 
-        def height(tt, _fn=ch.fn):
-            return np.asarray(_fn(tt), dtype=float) @ e
-
-        _, v = polish(height, ch.lo, ch.hi, t[np.argsort(pts @ e)[-4:]], spacing,
+        _, v = polish(lambda q: q @ e, [(ch, t[np.argsort(pts @ e)[-4:]], spacing)],
                       maximize=True)
         best = max(best, float(np.max(v)))
     return best
@@ -110,11 +107,11 @@ def _loop_radial_extremes(d):
         t, pts, spacing = chart_nodes(ch, m)
         order = np.argsort(np.linalg.norm(pts, axis=-1))
 
-        def gap(tt, _fn=ch.fn):
-            return np.linalg.norm(np.asarray(_fn(tt), dtype=float), axis=-1)
+        def gap(q):
+            return np.linalg.norm(q, axis=-1)
 
-        _, v_lo = polish(gap, ch.lo, ch.hi, t[order[:4]], spacing, maximize=False)
-        _, v_hi = polish(gap, ch.lo, ch.hi, t[order[-4:]], spacing, maximize=True)
+        _, v_lo = polish(gap, [(ch, t[order[:4]], spacing)], maximize=False)
+        _, v_hi = polish(gap, [(ch, t[order[-4:]], spacing)], maximize=True)
         lo_best = min(lo_best, float(np.min(v_lo)))
         hi_best = max(hi_best, float(np.max(v_hi)))
     return lo_best, hi_best
@@ -123,8 +120,9 @@ def _loop_radial_extremes(d):
 def _loop_coincidence_sup(rate, lo, hi, grid=2048):
     t = lo + (hi - lo) * (np.arange(grid) + 0.5) / grid
     k = int(np.argmax(rate(t)))
-    t_star, value = polish(rate, lo, hi, t[k:k + 1], (hi - lo) / grid, maximize=True)
-    return float(t_star[0]), float(value[0])
+    _, value = polish(rate, [(Chart(lambda r: r, lo, hi), t[k:k + 1], (hi - lo) / grid)],
+                      maximize=True)
+    return float(value[0])
 
 
 def _hex(values):
@@ -184,20 +182,28 @@ class TestChartExtreme:
         def rate(r):
             return seminorm._torsion_rate(p, eps, r)
 
-        got = chart_extreme(Chart(lambda r: r, -1.0, 1.0), rate, 2048, 1, maximize=True)
-        assert _hex(got) == _hex(_loop_coincidence_sup(rate, -1.0, 1.0))
+        got = chart_extreme([Chart(lambda r: r, -1.0, 1.0)], rate, 2048, 1, maximize=True)
+        assert _hex([got]) == _hex([_loop_coincidence_sup(rate, -1.0, 1.0)])
 
     @pytest.mark.parametrize("maximize", [True, False])
-    def test_first_of_tied_nodes_wins(self, maximize):
+    def test_first_of_tied_nodes_wins(self, maximize, monkeypatch):
         # two exact mirror extrema at t = -1/2 and 1/2 on a grid symmetric about 0
         sign = -1.0 if maximize else 1.0
         chart = Chart(lambda r: r, -1.0, 1.0)
-        t, pts, _ = chart_nodes(chart, 64)
+        t, pts, spacing = chart_nodes(chart, 64)
         v = sign * (pts * pts - 0.25) ** 2
         assert np.array_equal(v, v[::-1])
-        t_star, value = chart_extreme(chart, lambda r: sign * (r * r - 0.25) ** 2, 64, 1,
-                                      maximize)
-        assert t_star == pytest.approx(-0.5, abs=1e-8)
+        starts = []
+
+        def capture(g, parts, maximize):
+            starts.extend(t0 for _, t0, _ in parts)
+            return polish(g, parts, maximize)
+
+        monkeypatch.setattr(domains, "polish", capture)
+        value = chart_extreme([chart], lambda r: sign * (r * r - 0.25) ** 2, 64, 1, maximize)
+        # the node nearest -1/2 is polished, not its mirror at 1/2
+        assert len(starts) == 1 and starts[0].shape == (1,)
+        assert starts[0][0] < 0.0 and abs(starts[0][0] + 0.5) < spacing
         assert abs(value) <= 1e-15
 
 
@@ -220,12 +226,14 @@ def two_call_golden_max(fn, lo, hi):
 
 
 def polish_bracket(fn, lo, hi, maximize=True):
-    """``polish`` over exactly ``[lo, hi]``: the chart range is the bracket,
-    and the reach around ``t0`` covers it."""
+    """``polish`` over exactly ``[lo, hi]``: each bracket gets an identity
+    chart whose range is the bracket, and the reach around ``t0`` covers it."""
     t0, spacing = lo, hi - lo
     assert np.array_equal(np.maximum(lo, t0 - 2.0 * spacing), lo)
     assert np.array_equal(np.minimum(hi, t0 + 2.0 * spacing), hi)
-    return polish(fn, lo, hi, t0, spacing, maximize)
+    parts = [(Chart(lambda r: r, lo[k], hi[k]), t0[k:k + 1], spacing[k])
+             for k in range(lo.size)]
+    return polish(fn, parts, maximize)
 
 
 # smooth functions with one maximum at a, each broadcasting over any leading axis
@@ -278,6 +286,27 @@ class TestPolish:
         got = polish_bracket(fn, lo, hi)
         assert len(calls) < 71 and calls[-1] == (2,)
         _assert_same_bits(got, two_call_golden_max(fn, lo, hi))
+
+    def test_each_chart_maps_its_own_brackets(self):
+        # brackets on three charts of other ranges and maps, clipped at both
+        # ends, in one call: the bits of one polish per chart, and one call
+        # of all the stacked points per step
+        circle = Chart(lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1), 0.0, 6.0)
+        charts = [circle, Chart(lambda t: np.stack([t, t * t - 1.0], axis=-1), -1.0, 1.0),
+                  Chart(lambda t: np.stack([np.full_like(t, 2.0), t], axis=-1), -0.5, 0.5)]
+        parts = list(zip(charts, [np.array([0.1, 3.0, 5.9]), np.array([-0.99, 0.4]),
+                                  np.array([0.45])], [0.3, 0.05, 0.2]))
+        shapes = []
+
+        def g(q):
+            shapes.append(q.shape)
+            return -np.linalg.norm(q - np.array([0.3, -0.7]), axis=-1)
+
+        got = polish(g, parts, maximize=True)
+        assert set(shapes[:-1]) == {(2, 6, 2)} and shapes[-1] == (6, 2)
+        want = [polish(g, [p], maximize=True) for p in parts]
+        _assert_same_bits(got, (np.concatenate([w[0] for w in want]),
+                                np.concatenate([w[1] for w in want])))
 
     @settings(max_examples=60)
     @given(_peak, _center, _bracket)
@@ -405,7 +434,7 @@ class TestErosion:
         eps, rho = 0.1, 0.5
         parent = ellipsoid(eps)
         inner = erode(parent, rho)
-        pts = 1.3 * (2.0 * halton_points(20_000, 2, seed=9) - 1.0)
+        pts = 1.3 * (2.0 * halton_points(20_000, seed=9) - 1.0)
         parent_side = signed_distance(parent, pts) <= -1e-6
         dilated_side = signed_distance(inner, pts) <= rho - 1e-6
         assert np.array_equal(parent_side, dilated_side)
@@ -497,6 +526,36 @@ class TestBumpFamily:
         want = np.array([reference(q) for q in qs])
         assert np.any(d.contains(qs)) and not np.all(d.contains(qs))
         assert boundary_distance(d, qs) == pytest.approx(want, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_chart_distance_keeps_the_loop_bits(self, eps):
+        # one polish over every (chart, point) bracket against a polish per
+        # chart, on points over the graph beyond the bump (nearest to the
+        # graph chart alone), over the bump (where the graph chart and the
+        # dense support chart overlap), near the strip and around the disk
+        from scipy.spatial import cKDTree
+
+        d = bump_domain(eps, 2.0)
+        psi = bump_profile(eps, 2.0)
+        u = halton_points(40, seed=4)
+        tau = np.concatenate([0.25 + 0.2 * u[:20, 0],
+                              math.sqrt(eps) * (0.05 + 1.9 * u[20:, 0])])
+        over = np.stack([tau, psi(tau) + np.linspace(-0.02, 0.02, tau.size)], axis=-1)
+        strip = np.array([0.0, -1.2]) + np.array([0.5, 0.4]) * halton_points(40, seed=5)
+        around = 1.3 * (2.0 * halton_points(40, seed=6) - 1.0)
+        qs = np.concatenate([over, strip, around])
+
+        want = np.full(len(qs), np.inf)
+        for ch in d.boundary_param:
+            t, nodes, spacing = chart_nodes(ch, 2048)
+            _, dist = polish(lambda q: np.linalg.norm(q - qs, axis=-1),
+                             [(ch, t[cKDTree(nodes).query(qs)[1]], spacing)],
+                             maximize=False)
+            want = np.minimum(want, dist)
+        assert tau[20:].max() <= d.boundary_param[2].hi < tau[:20].min()  # the dense chart's end
+        np.testing.assert_array_equal(boundary_distance(d, qs), want)
+        np.testing.assert_array_equal(boundary_distance(d, qs.reshape(4, 30, 2)),
+                                      want.reshape(4, 30))
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterDomainError, match="bump aspect exponent must exceed 1"):

@@ -293,7 +293,7 @@ class TestQuadraticForm:
         f = torsion_ellipsoid(FracParams(2, s), 0.02)
         (q00, _), (_, q11) = f.power_quad[0].tolist()
         amp = f.power_quad[1]
-        pts = 2.0 * halton_points(4096, 2, seed=0) - 1.0
+        pts = 2.0 * halton_points(4096, seed=0) - 1.0
         batch = f.eval(pts)
         rows = np.concatenate([f.eval(x[None, :]) for x in pts])
         assert rows.tobytes() == batch.tobytes()

@@ -58,7 +58,7 @@ class TestLipschitzSeminorm:
         x, y = seminorm._best_pair(lambda x: x[..., 1], chart, SMALL)
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
-        u = chart.lo + (chart.hi - chart.lo) * halton_points(SMALL.n_pairs, 2, SMALL.seed)
+        u = chart.lo + (chart.hi - chart.lo) * halton_points(SMALL.n_pairs, SMALL.seed)
         a, b = chart.fn(u[:, 0]), chart.fn(u[:, 1])
         sampled = np.abs(a[:, 1] - b[:, 1]) / np.linalg.norm(a - b, axis=-1)
         assert abs(x[1] - y[1]) / np.linalg.norm(x - y) >= float(np.max(sampled))
@@ -211,7 +211,7 @@ class TestQuotient:
     def test_chords_are_stable_under_small_stretch(self):
         # the chart chord length moves by O(eps) relative to the circle chord
         eps = 0.01
-        u = halton_points(100_000, 2, seed=8)
+        u = halton_points(100_000, seed=8)
         r, rt = 2.0 * u[:, 0] - 1.0, 2.0 * u[:, 1] - 1.0
         keep = np.abs(r - rt) > 1e-6
         r, rt = r[keep], rt[keep]
