@@ -15,8 +15,11 @@ is required, ``--eps 0.01`` for ``seminorm-ratio``) plus the commands of the
 three benchmark workloads at program seeds 0-2 (the stability probes run at
 their fixed seed 0, so once), then the edge commands: the planes and slabs
 of the ball and ellipsoid domains, whose support values and exact distances
-no other command reaches.  New commands are appended, so the numbered
-directories of the earlier ones keep their names.
+no other command reaches, and a torsion check on ``ellipsoid:0.1`` whose
+points (``--min-dist 0.85``) lie within about 0.15 of the centre, where the
+root of the ellipse distance's foot equation sits closest to its pole.  New
+commands are appended, so the numbered directories of the earlier ones keep
+their names.
 
 ``diff`` prints every JSON leaf and CSV cell that differs, with its old and
 new value and, for two floats, their distance in ulps; a file on one side
@@ -66,6 +69,7 @@ EDGE = [[cmd, "--domain", dom, "--e", e]
         for e in ("1,0", "0,1", "0.6,0.8")] + [
     ["boundary-integral", "--domain", "ellipsoid:0.1", "--n", "20000"],
     ["torsion-check", "--domain", "ellipsoid:0.2", "--points", "40"],
+    ["torsion-check", "--domain", "ellipsoid:0.1", "--points", "20", "--min-dist", "0.85"],
 ]
 
 

@@ -114,80 +114,40 @@ def ball(center, r) -> ImplicitDomain:
 # stretched disks with semi-axes (1+eps, 1)
 
 
-def _ellipse_axis_distance(p1, a):
-    """Distance to the ellipse x^2/a^2 + y^2 = 1, a > 1, from points on the
-    major axis (p2 = 0)."""
-    p1 = np.abs(p1)
-    f2 = a * a - 1.0
-    inner = p1 < f2 / a
-    x_hat = np.where(inner, a * a * p1 / f2, 0.0)
-    y_hat = np.where(inner, np.sqrt(np.maximum(0.0, 1.0 - (x_hat / a) ** 2)), 0.0)
-    d_inner = np.hypot(p1 - x_hat, y_hat)
-    return np.where(inner, d_inner, np.abs(p1 - a))
-
-
-def _foot_solve(q1, q2, a, t_lo, t_hi, shift1, shift2):
-    """Bisect the normal-foot equation (a q1 / (t + shift1))^2
-    + (q2 / (t + shift2))^2 = 1 on ``[t_lo, t_hi]``, where the left side
-    falls monotonically in t.  Returns the feet and the residual,
-    ``(f1, f2, res)``.
-
-    At most 90 steps; it stops early at the bracket's fixed point, since a
-    step that moves no end leaves every later step the same.
-    """
-    aq1 = a * q1
-    with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(90):
-            mid = 0.5 * (t_lo + t_hi)
-            u = aq1 / (mid + shift1)
-            v = q2 / (mid + shift2)
-            pos = u * u + v * v - 1.0 > 0.0
-            if (mid == np.where(pos, t_lo, t_hi)).all():
-                break  # the end that would move to mid is mid already
-            t_lo = np.where(pos, mid, t_lo)
-            t_hi = np.where(pos, t_hi, mid)
-        t = 0.5 * (t_lo + t_hi)
-        u = aq1 / (t + shift1)
-        v = q2 / (t + shift2)
-        res = np.abs(u * u + v * v - 1.0)
-    return a * a * q1 / (t + shift1), q2 / (t + shift2), res
-
-
 def _ellipse_distance(p1, p2, a):
-    """Unsigned distance from (p1, p2) to the ellipse x^2/a^2 + y^2 = 1, a >= 1.
+    """Unsigned distance from (p1, p2) to the ellipse x^2/a^2 + y^2 = 1, a >= 1,
+    elementwise over arrays of any shape.
 
-    Solves the normal-foot equation for the Lagrange parameter t by
-    bisection (monotone, bracket guaranteed; at most 90 steps, stopping
-    once the bracket no longer moves), vectorized over points.  Near the
-    centre the root sits within O(p2) of -1, finer than the float spacing
-    of t there, so points that miss the residual are solved again in
-    s = t + 1.  The axis p2 == 0 case has closed-form feet and is handled
-    separately.
+    The foot is (a^2 p1 / (u + c), p2 / u) with c = a^2 - 1, where u solves
+    (a p1 / (u + c))^2 + (p2 / u)^2 = 1 (u = t + 1 for the Lagrange
+    parameter t).  The left side falls in u, and the root lies in
+    [p2, hypot(a p1, p2)]: at the lower end the second term alone is 1, at
+    the upper end the sum is at most 1 (D. Eberly, "Distance from a point
+    to an ellipse, an ellipsoid, or a hyperellipsoid", 2013).  Both ends are
+    positive floats, so one bisection reaches the float spacing of u
+    everywhere; it takes at most 100 steps and stops once the bracket no
+    longer moves.  Points are measured from height max(|p2|, 1e-12): the
+    distance is 1-Lipschitz, so a point within 1e-12 of the major axis moves
+    by at most 1e-12.
     """
     p1 = np.abs(np.asarray(p1, dtype=float))
-    p2 = np.abs(np.asarray(p2, dtype=float))
-    if a == 1.0:
-        return np.abs(np.hypot(p1, p2) - 1.0)
-    # Below this height the on-axis feet are accurate to ~1e-12 and the
-    # floating-point bracket for the off-axis solve degenerates.
-    off_axis = p2 > 1e-12
-    q1 = np.where(off_axis, p1, 0.0)
-    q2 = np.where(off_axis, p2, 1.0)  # placeholder keeps the bracket valid
-
-    t_lo = np.full_like(q1, -(1.0 - 1e-12))
-    t_hi = math.sqrt(2.0) * (a * q1 + q2) + 1.0
-    f1, f2, res = _foot_solve(q1, q2, a, t_lo, t_hi, a * a, 1.0)
-    redo = off_axis & (res > 1e-10)
-    if np.any(redo):
-        r1, r2 = q1[redo], q2[redo]
-        s_hi = t_hi[redo] + 1.0
-        f1[redo], f2[redo], res[redo] = _foot_solve(
-            r1, r2, a, np.full_like(r1, 1e-12), s_hi, a * a - 1.0, 0.0)
-    d_off = np.hypot(q1 - f1, q2 - f2)
-    if np.any(off_axis) and float(np.max(np.where(off_axis, res, 0.0))) > 1e-10:
+    p2 = np.maximum(np.abs(np.asarray(p2, dtype=float)), 1e-12)
+    ap1, c = a * p1, a * a - 1.0
+    lo, hi = p2, np.hypot(ap1, p2)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        pos = (ap1 / (mid + c)) ** 2 + (p2 / mid) ** 2 > 1.0
+        if (mid == np.where(pos, lo, hi)).all():
+            break  # the end that would move to mid is mid already
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    u = 0.5 * (lo + hi)
+    f1, f2 = a * a * p1 / (u + c), p2 / u
+    res = np.abs((f1 / a) ** 2 + f2 ** 2 - 1.0)
+    if np.any(res > 1e-10):
         raise ProjectionError(
             f"ellipse projection residual {float(np.max(res)):.3e} above 1e-10")
-    return np.where(off_axis, d_off, _ellipse_axis_distance(p1, a))
+    return np.hypot(p1 - f1, p2 - f2)
 
 
 def ellipsoid(eps) -> ImplicitDomain:
@@ -203,9 +163,8 @@ def ellipsoid(eps) -> ImplicitDomain:
 
     def sdf(pts):
         pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 2)  # 1-d arrays for _ellipse_distance, also for one point
-        d = _ellipse_distance(flat[:, 0], flat[:, 1], a)
-        return np.where(level(flat) < 0.0, -d, d).reshape(pts.shape[:-1])
+        d = _ellipse_distance(pts[..., 0], pts[..., 1], a)
+        return np.where(level(pts) < 0.0, -d, d)
 
     def normal(pts):
         pts = np.asarray(pts, dtype=float)

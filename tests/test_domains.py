@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracshape import domains, seminorm
-from fracshape.domains import (Chart, _ellipse_axis_distance,
-                               _ellipse_distance, _smoothstep, ball, boundary_distance,
+from fracshape.domains import (Chart, _ellipse_distance, _smoothstep, ball, boundary_distance,
                                bump_domain, bump_profile, chart_extreme,
                                chart_nodes, ellipsoid, erode, odd_cutoff, polish,
                                radial_extremes, signed_distance)
@@ -35,33 +35,21 @@ ELLIPSE_DIST_REF = [
 ]
 
 
-def _ninety_step_distance(p1, p2, a):
-    """The distance to the ellipse x^2/a^2 + y^2 = 1 by exactly 90 bisection
-    steps in t, and the residual of each foot: the solve without an early
-    stop."""
-    p1, p2 = np.abs(p1), np.abs(p2)
-    off_axis = p2 > 1e-12
-    q1 = np.where(off_axis, p1, 0.0)
-    q2 = np.where(off_axis, p2, 1.0)
-    t_lo = np.full_like(q1, -(1.0 - 1e-12))
-    t_hi = math.sqrt(2.0) * (a * q1 + q2) + 1.0
-
-    def gap(t):
-        with np.errstate(over="ignore", divide="ignore"):
-            u = a * q1 / (t + a * a)
-            v = q2 / (t + 1.0)
-            return u * u + v * v - 1.0
-
-    for _ in range(90):
-        mid = 0.5 * (t_lo + t_hi)
-        pos = gap(mid) > 0.0
-        t_lo = np.where(pos, mid, t_lo)
-        t_hi = np.where(pos, t_hi, mid)
-    t = 0.5 * (t_lo + t_hi)
-    f1 = a * a * q1 / (t + a * a)
-    f2 = q2 / (t + 1.0)
-    dist = np.where(off_axis, np.hypot(q1 - f1, q2 - f2), _ellipse_axis_distance(p1, a))
-    return dist, np.where(off_axis, np.abs(gap(t)), 0.0)
+def _hundred_step_distance(p1, p2, a):
+    """The distance to the ellipse x^2/a^2 + y^2 = 1 by exactly 100
+    bisection steps in u = t + 1 on [p2, hypot(a p1, p2)]: the solve without
+    an early stop."""
+    p1 = np.abs(p1)
+    p2 = np.maximum(np.abs(p2), 1e-12)
+    ap1, c = a * p1, a * a - 1.0
+    lo, hi = p2, np.hypot(ap1, p2)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        pos = (ap1 / (mid + c)) ** 2 + (p2 / mid) ** 2 > 1.0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    u = 0.5 * (lo + hi)
+    return np.hypot(p1 - a * a * p1 / (u + c), p2 - p2 / u)
 
 
 def _polar_distance(x, a, b):
@@ -76,11 +64,17 @@ def _polar_distance(x, a, b):
     return float(dist[k])
 
 
+@functools.lru_cache(maxsize=None)
+def _cached_polar_distance(x1, x2, a):
+    """``_polar_distance`` of (x1, x2), once per point: examples repeat points."""
+    return _polar_distance((x1, x2), a, 1.0)
+
+
 _NEAR_BOUNDARY = st.tuples(st.floats(0.0, 2.0 * math.pi),
                            st.floats(-1e-3, 1e-3)).map(
     lambda td: ("rim", td[0], td[1]))
 _NEAR_AXIS = st.tuples(st.floats(-1.3, 1.3), st.floats(0.0, 2e-12)).map(
-    lambda xy: ("xy", xy[0], xy[1]))
+    lambda xy: ("axis", xy[0], xy[1]))
 _ANYWHERE = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
     lambda xy: ("xy", xy[0], xy[1]))
 
@@ -385,24 +379,32 @@ class TestEllipsoid:
             ellipsoid(-0.01)
 
     @settings(max_examples=60, deadline=None)
-    @given(eps=st.sampled_from([1e-9, 0.005, 0.01, 0.02, 0.1, 0.2]),
+    @given(eps=st.sampled_from([0.0, 1e-9, 0.005, 0.01, 0.02, 0.1, 0.2]),
            pts=st.lists(st.one_of(_NEAR_BOUNDARY, _NEAR_AXIS, _ANYWHERE),
                         min_size=1, max_size=40))
-    def test_early_stop_keeps_the_ninety_step_bits(self, eps, pts):
+    def test_early_stop_keeps_the_hundred_step_bits(self, eps, pts):
         a = 1.0 + eps
         xy = np.array([(a * math.cos(u) * (1.0 + v), math.sin(u) * (1.0 + v))
                        if kind == "rim" else (u, v) for kind, u, v in pts])
-        want, res = _ninety_step_distance(xy[:, 0], xy[:, 1], a)
-        got = _ellipse_distance(xy[:, 0], xy[:, 1], a)
-        solved = res <= 1e-10
-        assert got[solved].tobytes() == want[solved].tobytes()
-        for k in np.flatnonzero(solved):
+        want = _hundred_step_distance(xy[:, 0], xy[:, 1], a)
+        assert _ellipse_distance(xy[:, 0], xy[:, 1], a).tobytes() == want.tobytes()
+        sdf = ellipsoid(eps).exact_sdf
+        for k in range(len(xy)):  # one point: 1-d coordinates and a bare (2,) point
             one = _ellipse_distance(xy[k:k + 1, 0], xy[k:k + 1, 1], a)
             assert one.tobytes() == want[k:k + 1].tobytes()
-        # the 90 steps in t miss the residual near the centre; those points
-        # are solved again in s = t + 1
-        for k in np.flatnonzero(~solved):
-            assert got[k] == pytest.approx(_polar_distance(xy[k], a, 1.0), abs=1e-9)
+            bare = sdf(xy[k])
+            assert bare.shape == () and abs(bare).tobytes() == want[k].tobytes()
+        grid = sdf(np.resize(xy, (3, 4, 2)))  # the points, cycled
+        assert grid.shape == (3, 4)
+        assert np.abs(grid).tobytes() == np.resize(want, (3, 4)).tobytes()
+        # within 1e-12 of the major axis the point is measured from height
+        # 1e-12, which moves its distance by at most 1e-12
+        for k, (kind, _, _) in enumerate(pts):
+            if kind == "axis":
+                assert abs(want[k] - _cached_polar_distance(*xy[k], a)) <= 1.5e-12
+        if eps == 0.0:  # the unit circle
+            circle = np.abs(np.hypot(xy[:, 0], xy[:, 1]) - 1.0)
+            assert np.max(np.abs(want - circle)) <= 1.5e-12
 
     @pytest.mark.parametrize("eps, x", [
         (0.01, (0.001, 1e-6)),
@@ -410,7 +412,8 @@ class TestEllipsoid:
     ])
     def test_distance_near_the_centre(self, eps, x):
         # the root t sits within O(x2) of -1, below the float spacing of t
-        # there; the solve in s = t + 1 finds the foot
+        # there; the solve in u = t + 1, bracketed from below by x2, finds
+        # the foot
         got = boundary_distance(ellipsoid(eps), np.array(x))
         assert got == pytest.approx(_polar_distance(x, 1.0 + eps, 1.0), abs=1e-9)
 
