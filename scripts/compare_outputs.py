@@ -17,9 +17,11 @@ their fixed seed 0, so once), then the edge commands: the planes and slabs
 of the ball and ellipsoid domains, whose support values and exact distances
 no other command reaches, and a torsion check on ``ellipsoid:0.1`` whose
 points (``--min-dist 0.85``) lie within about 0.15 of the centre, where the
-root of the ellipse distance's foot equation sits closest to its pole.  New
-commands are appended, so the numbered directories of the earlier ones keep
-their names.
+root of the ellipse distance's foot equation sits closest to its pole, and
+three planes: two oblique ones whose refined excess near the critical offset
+is flat at the violation threshold, and one on the largest accepted ball.
+New commands are appended, so the numbered directories of the earlier ones
+keep their names.
 
 ``diff`` prints every JSON leaf and CSV cell that differs, with its old and
 new value and, for two floats, their distance in ulps; a file on one side
@@ -70,6 +72,11 @@ EDGE = [[cmd, "--domain", dom, "--e", e]
     ["boundary-integral", "--domain", "ellipsoid:0.1", "--n", "20000"],
     ["torsion-check", "--domain", "ellipsoid:0.2", "--points", "40"],
     ["torsion-check", "--domain", "ellipsoid:0.1", "--points", "20", "--min-dist", "0.85"],
+    ["critical-plane", "--domain", "ellipsoid:0.1",
+     "--e", "0.1305261922200517,0.9914448613738104", "--tol", "1e-14"],
+    ["critical-plane", "--domain", "bump:1e-3",
+     "--e", "0.9914448613738104,-0.13052619222005168", "--tol", "1e-300"],
+    ["critical-plane", "--domain", "ball:1e3", "--e", "0.6,0.8"],
 ]
 
 

@@ -202,8 +202,9 @@ def _as_domain(text, name):
     if kind == "ball":
         if len(parts) > 2:
             raise CliError("ball domain is spelled ball or ball:R")
-        # squared coordinates overflow from R ~ 1e154; every command is clean at 1e50
-        r = (_as_float(parts[1], "ball radius", lo=0.0, hi=1e50, hi_open=False)
+        # the scan's absolute violation threshold (1e-12) holds while level
+        # rounding (about R * 1.1e-16) stays below it
+        r = (_as_float(parts[1], "ball radius", lo=0.0, hi=1e3, hi_open=False)
              if len(parts) > 1 else 1.0)
         return kind, (r,), ball(np.zeros(2), r)
     if kind == "ellipsoid":

@@ -252,6 +252,10 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         raise ParameterDomainError(f"bump height restricted to (0, 0.05], got {eps!r}")
     center = epsf ** (1.0 - 1.0 / alphaf)
     width = epsf ** (1.0 / alphaf)
+    if width < np.finfo(float).tiny:  # a subnormal width overflows the profile
+        raise ParameterDomainError(
+            f"bump width eps^(1/alpha) = {width:.3g} is below the smallest normal float; "
+            "raise eps or alpha")
     if center + width >= 0.5:
         raise ParameterDomainError(
             f"bump support [{center - width:.3g}, {center + width:.3g}] leaves the strip; "

@@ -125,27 +125,27 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     violated.  This rests on the refined excess never falling below the raw
     one (refinement keeps the better of the node and its polish), so the
     first refined violation sits at or above the first raw one; it is
-    missed only if a refined-clean offset separates them.  When the raw
-    pass finds no violation at all, a refined scan over the same offsets
-    decides.  The topmost violated offset and the one above it (or Lambda)
-    bracket the critical value, which bisection then pins to ``tol``.  Each
-    midpoint gets the raw pass first and a refined call only when that pass
-    is clean (a raw violation is a refined one), so every verdict is the
-    refined one and is polished only where the raw pass is clean.  A
-    ``tol`` finer than the float spacing of Lambda is raised to that
-    spacing, and the result reports the raised value.  The witness is the
-    worst reflected point (refined) just below the critical offset; a
+    missed only if a refined-clean offset separates them.  The topmost
+    violated offset and the one above it (or Lambda) bracket the critical
+    value, which bisection then pins to ``tol``.  Each midpoint gets the raw
+    pass first and a refined call only when that pass is clean (a raw
+    violation is a refined one), so every verdict is the refined one and is
+    polished only where the raw pass is clean.  A ``tol`` finer than the
+    float spacing of Lambda is raised to that spacing, and the result
+    reports the raised value.  The witness is the worst reflected point of
+    a refined call at the bracket's lower end, an offset the scan has
+    already found violated, so no fresh verdict can contradict it; a
     witness within 10 tol of the plane is tagged as the orthogonal-crossing
     case, otherwise as interior tangency.  A reflection-symmetric domain in
     its symmetry direction stops at its centre plane up to tol and sampling
     residue (lambda = -3e-7 for the unit disk at tol 1e-6), tagged like any
     contact: the reflected cap pokes out once the plane passes the centre.
-    The result is ``unresolved`` only when no violation shows all the way
-    down to the far support, or none just below the bisected offset.
+    The result is ``unresolved`` only when the raw pass finds no violation
+    all the way down to the far support; its lowest offset reflects the
+    top of the domain past the far support, and the raw pass violated
+    there on every ball, ellipsoid and bump domain tried.
     """
     e = _unit(e)
-    if not d.boundary_param:
-        raise ProjectionError("critical plane scan needs a boundary parametrization")
     lam_top = support_value(d, e)
     tol = max(tol, float(np.spacing(abs(lam_top))))
     lam_bot = -support_value(d, -e)
@@ -163,13 +163,10 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
 
     k = next((i for i, mu in enumerate(offsets) if violated(mu, refine=False)), None)
     if k is None:
-        k = next((i for i, mu in enumerate(offsets) if violated(mu)), None)
-    else:
-        while k > 0 and violated(offsets[k - 1]):
-            k -= 1
-    if k is None:
         return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam_bot,
                                    case_tag=TAG_UNRESOLVED, witness=None, tol=tol)
+    while k > 0 and violated(offsets[k - 1]):
+        k -= 1
     lo_mu = offsets[k]
     hi_mu = offsets[k - 1] if k > 0 else lam_top
 
@@ -184,10 +181,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
             hi_mu = mid
     lam = 0.5 * (lo_mu + hi_mu)
 
-    v_w, witness = violation(d, grids, lam - tol, e)
-    if witness is None or v_w <= _VIOLATION_EPS:
-        return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam,
-                                   case_tag=TAG_UNRESOLVED, witness=witness, tol=tol)
+    witness = violation(d, grids, lo_mu, e)[1]
     case = (TAG_ORTHOGONAL if abs(float(witness @ e) - lam) <= 10.0 * tol
             else TAG_TANGENCY)
     return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam, case_tag=case,

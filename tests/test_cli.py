@@ -80,6 +80,11 @@ class TestErrors:
         ("slab-measure", "--domain", "ball", "--seed", str(10**400)),
         ("counterexample-scan", "--seed", "18446744073709551616"),
         ("lemma-check", "--seed", "18446744073709551616"),
+        # past the scan threshold's scale; a subnormal bump width overflows
+        # the profile in a divide
+        *[(command, "--domain", domain)
+          for command in ("torsion-check", "critical-plane", "slab-measure", "boundary-integral")
+          for domain in ("ball:1e4", "bump:5e-324:1.03125")],
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -274,6 +279,19 @@ class TestCriticalPlane:
         summary = run_json(capsys, "critical-plane", "--domain", "ball", "--e", e)
         assert summary["params"]["e"] == e
         assert abs(summary["results"]["plane"]["lambda"]) <= 2e-6
+
+    # the accepted radii (0, 1e3]: the scan's absolute violation threshold
+    # (1e-12) stays above the rounding of level (about R * 1.1e-16)
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-12"])
+    @pytest.mark.parametrize("e", ["0.6,0.8", "1,0"])
+    @pytest.mark.parametrize("radius", ["1e-3", "1", "1e3"])
+    def test_ball_planes_stop_at_the_centre_over_the_radius_range(self, capsys, radius, e, tol):
+        summary = run_json(capsys, "slab-measure", "--domain", f"ball:{radius}", "--e", e,
+                           "--tol", tol)
+        plane, slab = summary["results"]["plane"], summary["results"]["slab"]
+        assert plane["case"] != "unresolved"
+        assert abs(plane["lambda"]) <= plane["tol"] == float(tol)
+        assert abs(slab["value"]) <= slab["error"]
 
     def test_params_echoed_verbatim(self, capsys):
         summary = run_json(capsys, "critical-plane", "--domain", "bump:1e-3",
