@@ -20,8 +20,11 @@ points (``--min-dist 0.85``) lie within about 0.15 of the centre, where the
 root of the ellipse distance's foot equation sits closest to its pole, and
 three planes: two oblique ones whose refined excess near the critical offset
 is flat at the violation threshold, and one on the largest accepted ball.
-New commands are appended, so the numbered directories of the earlier ones
-keep their names.
+Last come a plane and a boundary integral on ``bump:1e-3:1.5``, whose
+bump support starts right of x = 0, and a plane on ``bump:1e-3:4``, an
+aspect exponent above 2, where the support is cut at x = 0.  New commands
+are appended, so the numbered directories of the earlier ones keep their
+names.
 
 ``diff`` prints every JSON leaf and CSV cell that differs, with its old and
 new value and, for two floats, their distance in ulps; a file on one side
@@ -77,6 +80,9 @@ EDGE = [[cmd, "--domain", dom, "--e", e]
     ["critical-plane", "--domain", "bump:1e-3",
      "--e", "0.9914448613738104,-0.13052619222005168", "--tol", "1e-300"],
     ["critical-plane", "--domain", "ball:1e3", "--e", "0.6,0.8"],
+    ["critical-plane", "--domain", "bump:1e-3:1.5", "--tol", "1e-8"],
+    ["boundary-integral", "--domain", "bump:1e-3:1.5", "--n", "4000"],
+    ["critical-plane", "--domain", "bump:1e-3:4", "--tol", "1e-8"],
 ]
 
 

@@ -203,9 +203,11 @@ def _as_domain(text, name):
         if len(parts) > 2:
             raise CliError("ball domain is spelled ball or ball:R")
         # the scan's absolute violation threshold (1e-12) holds while level
-        # rounding (about R * 1.1e-16) stays below it
-        r = (_as_float(parts[1], "ball radius", lo=0.0, hi=1e3, hi_open=False)
-             if len(parts) > 1 else 1.0)
+        # rounding (about R * 1.1e-16) stays below it and the excess of a
+        # reflected cap, which scales with R, rises above it
+        r = _as_float(parts[1], "ball radius") if len(parts) > 1 else 1.0
+        if not 1e-3 <= r <= 1e3:
+            raise CliError(f"ball radius={parts[1]} out of range (must lie in [1e-3, 1e3])")
         return kind, (r,), ball(np.zeros(2), r)
     if kind == "ellipsoid":
         if len(parts) != 2:

@@ -32,16 +32,11 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Chart:
-    """One-parameter boundary patch ``t in [lo, hi] -> point``.
-
-    ``dense`` marks patches whose features need a finer default sampling
-    (the bump support, for instance).
-    """
+    """One-parameter boundary patch ``t in [lo, hi] -> point``."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
-    dense: bool = False
 
 
 @dataclass(frozen=True)
@@ -229,12 +224,6 @@ def bump_profile(eps: float, alpha: float):
     return psi
 
 
-# Angular extent of the circular arc that the graph chart replaces:
-# cos(theta) in (0, 1/2) and sin(theta) < -1/2 means theta in (3pi/2, 5pi/3).
-_ARC_LO = 5.0 * math.pi / 3.0
-_ARC_HI = 3.0 * math.pi / 2.0 + 2.0 * math.pi
-
-
 def bump_domain(eps, alpha) -> ImplicitDomain:
     """Unit disk with a localized boundary bump of height ~eps.
 
@@ -278,12 +267,13 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
         t = np.asarray(t, dtype=float)
         return np.stack([t, psi(t)], axis=-1)
 
+    # the arc and the graph over the support meet end to end: off the
+    # support psi is the circle itself
     sup_lo = max(0.0, center - width)
     sup_hi = min(0.5, center + width)
     charts = (
-        Chart(circle_chart, _ARC_LO, _ARC_HI),
-        Chart(graph_chart, 0.0, 0.5),
-        Chart(graph_chart, sup_lo, sup_hi, dense=True),
+        Chart(circle_chart, 2.0 * math.pi - math.acos(sup_hi), 4.0 * math.pi - math.acos(sup_lo)),
+        Chart(graph_chart, sup_lo, sup_hi),
     )
 
     # Bounding box for where the domain can deviate from the unit disk.
@@ -310,12 +300,11 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
 
 
 def chart_nodes(ch: Chart, m: int, phase: float = 0.5):
-    """Uniform node grid on a chart: ``m`` nodes, or ``4 m`` on a dense chart.
+    """Uniform node grid of ``m`` nodes on a chart.
 
     Node ``k`` sits at parameter ``lo + (k + phase) * spacing``.  Returns
     ``(t, points, spacing)``.
     """
-    m = m * (4 if ch.dense else 1)
     t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + phase) / m
     return t, np.asarray(ch.fn(t), dtype=float), (ch.hi - ch.lo) / m
 
@@ -371,8 +360,7 @@ def chart_extreme(charts, g, m: int, k: int, maximize: bool) -> float:
 
 def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
     """Distance from each point to the sampled-and-refined boundary.  Each
-    chart gets its own KD-tree: charts may overlap (the bump's dense support
-    chart lies on its graph chart) and a node's parameter is chart-local."""
+    chart gets its own KD-tree: a node's parameter is chart-local."""
     # imported here, not at the top: scipy.spatial is most of the time of
     # ``import fracshape``, and only this search uses it
     from scipy.spatial import cKDTree
@@ -419,7 +407,10 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 
     Requires ``rho`` below the domain's interior ball radius so the offset
     boundary is again a graph over the original one (the eroded SDF is then
-    just the parent SDF shifted by rho).
+    just the parent SDF shifted by rho).  The eroded domain carries no
+    ``normal`` and no interior ball radius, so it cannot be eroded again:
+    the parent's normal, the gradient of its level, is not the normal of
+    the parallel curve at an interior point.
     """
     rhof = float(rho)
     if any(v is None for v in (d.interior_ball_radius, d.exact_sdf, d.boundary_param,
@@ -437,15 +428,13 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
         def fn(t, _fn=ch.fn):
             q = np.asarray(_fn(t), dtype=float)
             return q - rhof * d.normal(q)
-        return Chart(fn, ch.lo, ch.hi, ch.dense)
+        return Chart(fn, ch.lo, ch.hi)
 
     return ImplicitDomain(
         level=sdf,
         bbox=d.bbox.copy(),
         exact_sdf=sdf,
         boundary_param=tuple(offset(ch) for ch in d.boundary_param),
-        interior_ball_radius=d.interior_ball_radius - rhof,
-        normal=d.normal,
     )
 
 

@@ -167,14 +167,6 @@ def _jacobi_rule(m: int, alpha: float, beta: float):
     return roots_jacobi(m, alpha, beta)
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(m: int):
-    # imported here for the reason given in ``_jacobi_rule``
-    from scipy.special import roots_legendre
-
-    return roots_legendre(m)
-
-
 def _outer_power(f, X, s, r0, angles, n_nodes):
     """Per-ray field integrals for power-profile fields, one row per point.
 
@@ -204,7 +196,7 @@ def _outer_panels(f, x, s, r0, angles, n_panels):
     if r_out <= r0:
         return np.zeros(angles.size)
     breaks = r0 * (r_out / r0) ** (np.arange(n_panels + 1) / n_panels)
-    u, w = _legendre_rule(16)
+    u, w = _jacobi_rule(16, 0.0, 0.0)  # Gauss-Legendre
     omega = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     total = np.zeros(angles.size)
     for k in range(n_panels):

@@ -118,16 +118,17 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     """Critical plane offset in direction ``e``: coarse-to-fine downward scan
     plus bisection.
 
-    The scan steps down from Lambda by Lambda/200.  It runs the cheap
-    unrefined ``violation`` pass at every offset and refines only where the
-    verdict is decided: from the first offset whose raw excess is positive
-    it steps back up with refined calls while the offset above is still
-    violated.  This rests on the refined excess never falling below the raw
-    one (refinement keeps the better of the node and its polish), so the
-    first refined violation sits at or above the first raw one; it is
-    missed only if a refined-clean offset separates them.  The topmost
-    violated offset and the one above it (or Lambda) bracket the critical
-    value, which bisection then pins to ``tol``.  Each midpoint gets the raw
+    The scan steps down from Lambda toward the far support by 1/400 of the
+    domain's width along ``e``.  It runs the cheap unrefined ``violation``
+    pass at every offset and refines only where the verdict is decided:
+    from the first offset whose raw excess is positive it steps back up
+    with refined calls while the offset above is still violated.  This
+    rests on the refined excess never falling below the raw one
+    (refinement keeps the better of the node and its polish), so the first
+    refined violation sits at or above the first raw one; it is missed only
+    if a refined-clean offset separates them.  The topmost violated offset
+    and the one above it (or Lambda) bracket the critical value, which
+    bisection then pins to ``tol``.  Each midpoint gets the raw
     pass first and a refined call only when that pass is clean (a raw
     violation is a refined one), so every verdict is the refined one and is
     polished only where the raw pass is clean.  A ``tol`` finer than the
@@ -151,7 +152,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     lam_bot = -support_value(d, -e)
     grids = _chart_grids(d, seed)
 
-    step = max(abs(lam_top), tol) / 200.0
+    step = (lam_top - lam_bot) / 400.0
     offsets = []
     mu = lam_top - step
     while mu > lam_bot - 0.5 * step:

@@ -27,7 +27,7 @@ from fracshape.specfun import FracParams, gamma_ns
 
 def boundary_samples(d, n):
     """Midpoint nodes of every boundary chart, at least ``n`` in all: a chart
-    gets ``max(64, n // charts)`` nodes, a dense chart four times as many."""
+    gets ``max(64, n // charts)`` nodes."""
     m = max(64, n // len(d.boundary_param))
     return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param])
 

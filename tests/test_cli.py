@@ -80,11 +80,11 @@ class TestErrors:
         ("slab-measure", "--domain", "ball", "--seed", str(10**400)),
         ("counterexample-scan", "--seed", "18446744073709551616"),
         ("lemma-check", "--seed", "18446744073709551616"),
-        # past the scan threshold's scale; a subnormal bump width overflows
-        # the profile in a divide
+        # past the scan threshold's scale on either side; a subnormal bump
+        # width overflows the profile in a divide
         *[(command, "--domain", domain)
           for command in ("torsion-check", "critical-plane", "slab-measure", "boundary-integral")
-          for domain in ("ball:1e4", "bump:5e-324:1.03125")],
+          for domain in ("ball:1e4", "bump:5e-324:1.03125", "ball:1e-4")],
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -280,8 +280,9 @@ class TestCriticalPlane:
         assert summary["params"]["e"] == e
         assert abs(summary["results"]["plane"]["lambda"]) <= 2e-6
 
-    # the accepted radii (0, 1e3]: the scan's absolute violation threshold
-    # (1e-12) stays above the rounding of level (about R * 1.1e-16)
+    # the accepted radii [1e-3, 1e3]: the scan's absolute violation threshold
+    # (1e-12) stays above the rounding of level (about R * 1.1e-16) and below
+    # the excess of a reflected cap, which scales with R
     @pytest.mark.parametrize("tol", ["1e-6", "1e-12"])
     @pytest.mark.parametrize("e", ["0.6,0.8", "1,0"])
     @pytest.mark.parametrize("radius", ["1e-3", "1", "1e3"])

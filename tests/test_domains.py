@@ -19,7 +19,7 @@ from fracshape.specfun import FracParams, ParameterDomainError
 
 def boundary_samples(d, n):
     """Midpoint nodes of every boundary chart, at least ``n`` in all: a chart
-    gets ``max(64, n // charts)`` nodes, a dense chart four times as many."""
+    gets ``max(64, n // charts)`` nodes."""
     m = max(64, n // len(d.boundary_param))
     return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param])
 
@@ -453,6 +453,16 @@ class TestErosion:
         with pytest.raises(ParameterDomainError, match="erosion needs"):
             erode(d, 0.3)
 
+    def test_an_eroded_domain_is_not_eroded_again(self):
+        # the parent's normal is the gradient of its level, which at an
+        # interior point is not the normal of the parallel curve: charts
+        # offset along it would leave the curve (by 1.2e-3 for two erosions
+        # of 0.3 against one of 0.6 here)
+        inner = erode(ellipsoid(0.2), 0.3)
+        assert inner.normal is None and inner.interior_ball_radius is None
+        with pytest.raises(ParameterDomainError, match="erosion needs"):
+            erode(inner, 0.3)
+
     def test_depth_must_fit_interior_ball(self):
         with pytest.raises(ParameterDomainError, match="erosion depth must lie in"):
             erode(ball((0.0, 0.0), 1.0), 1.0)
@@ -515,9 +525,9 @@ class TestBumpFamily:
                 best = min(best, float(np.min(np.linalg.norm(a + w[:, None] * ab - q, axis=1))))
             return best
 
-        # Points above and below the graph, over the bump (where the graph
-        # chart and the dense support chart overlap) and beyond it, plus
-        # points off the arc; distances range over 1e-4 .. 0.3.
+        # Points above and below the graph, over the bump (nearest to the
+        # graph chart) and beyond it (nearest to the arc), plus points off
+        # the arc; distances range over 1e-4 .. 0.3.
         deltas = np.array([1e-4, 1e-3, 1e-2, 0.1, 0.3])
         taus = np.concatenate([center + width * np.array([-0.9, -0.5, 0.0, 0.3, 0.6, 0.9]),
                                [0.25, 0.45]])
@@ -533,9 +543,9 @@ class TestBumpFamily:
     @pytest.mark.parametrize("eps", [1e-3, 1e-2])
     def test_chart_distance_keeps_the_loop_bits(self, eps):
         # one polish over every (chart, point) bracket against a polish per
-        # chart, on points over the graph beyond the bump (nearest to the
-        # graph chart alone), over the bump (where the graph chart and the
-        # dense support chart overlap), near the strip and around the disk
+        # chart, on points over the circle beyond the bump (nearest to the
+        # arc), over the bump (nearest to the graph chart), near the strip
+        # and around the disk
         from scipy.spatial import cKDTree
 
         d = bump_domain(eps, 2.0)
@@ -555,10 +565,34 @@ class TestBumpFamily:
                              [(ch, t[cKDTree(nodes).query(qs)[1]], spacing)],
                              maximize=False)
             want = np.minimum(want, dist)
-        assert tau[20:].max() <= d.boundary_param[2].hi < tau[:20].min()  # the dense chart's end
+        assert tau[20:].max() <= d.boundary_param[1].hi < tau[:20].min()  # the graph's end
         np.testing.assert_array_equal(boundary_distance(d, qs), want)
         np.testing.assert_array_equal(boundary_distance(d, qs.reshape(4, 30, 2)),
                                       want.reshape(4, 30))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_charts_partition_the_boundary(self, alpha):
+        # the arc and the graph over the support meet end to end: no node of
+        # one chart lies on another chart, and the arc's ends are the graph's
+        from scipy.spatial import cKDTree
+
+        d = bump_domain(1e-3, alpha)
+        for a in d.boundary_param:
+            pts = chart_nodes(a, 2048)[1]
+            for b in d.boundary_param:
+                if b is a:
+                    continue
+                t, nodes, spacing = chart_nodes(b, 2048)
+                _, dist = polish(lambda q: np.linalg.norm(q - pts, axis=-1),
+                                 [(b, t[cKDTree(nodes).query(pts)[1]], spacing)],
+                                 maximize=False)
+                assert dist.min() > 1e-9
+        # up to the rounding of the arc's parameter (its float spacing near
+        # 4 pi is 1.8e-15)
+        arc, graph = d.boundary_param
+        np.testing.assert_allclose(arc.fn(np.array([arc.lo, arc.hi])),
+                                   graph.fn(np.array([graph.hi, graph.lo])),
+                                   rtol=0.0, atol=1e-14)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterDomainError, match="bump aspect exponent must exceed 1"):
