@@ -12,7 +12,10 @@ golden-section search), which maps each chart's brackets with that chart and
 polishes the brackets of all charts in one loop.  ``chart_extreme`` is that
 primitive for an extremum of a function of the boundary point, and serves
 support values, radial extremes and the coincidence sup; no domain carries a
-closed form for them.
+closed form for them.  Each bracket freezes once its relative width is
+``POLISH_XTOL`` (sqrt of the float epsilon) unless its caller asks for the
+fixed point with ``xtol = 0``; only ``critical_lambda`` does, for a ``tol``
+below 1e-8.
 """
 
 from __future__ import annotations
@@ -312,18 +315,29 @@ def chart_nodes(ch: Chart, m: int, phase: float = 0.5):
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
+# Relative bracket width at which ``polish`` freezes a bracket: sqrt of the
+# float epsilon.  Near a smooth extremum the value's error is quadratic in
+# the position's, so a bracket this narrow already gives the value to about
+# the epsilon (Brent 1973, "Algorithms for Minimization without
+# Derivatives", ch. 5).
+POLISH_XTOL = math.sqrt(float(np.finfo(float).eps))
 
-def polish(g, parts, maximize: bool):
+
+def polish(g, parts, maximize: bool, xtol: float = POLISH_XTOL):
     """Golden-section extremum of ``g`` of chart points within two node
     spacings of each start.  ``parts`` holds ``(chart, t0, spacing)``
     triples, ``t0`` 1-d: each chart's brackets are clipped to its range and
     mapped by its ``fn``, and ``g`` gets all the points, stacked in the
     order of ``parts`` on axis ``u.ndim - 1`` of the parameters ``u``.
     Each of at most 70 steps makes one call, ``g`` of both probes on a
-    leading axis of length 2, and the loop stops early at the brackets'
-    fixed point, where every later step would be the same.  The final call
-    gets the midpoints alone.  Returns stacked ``(t, value)``; where ``g``
-    is not unimodal on a bracket, the extremum found may be a local one."""
+    leading axis of length 2.  A bracket stops moving once
+    ``hi - lo <= xtol * max(1, |lo|)`` (it is frozen) or at its fixed
+    point, where every later step would be the same, and the loop ends when
+    every bracket has stopped.  Each bracket stops on its own, so its bits
+    do not depend on the brackets polished with it.  ``xtol = 0`` runs every
+    bracket to its fixed point.  The final call gets the midpoints alone.
+    Returns stacked ``(t, value)``; where ``g`` is not unimodal on a
+    bracket, the extremum found may be a local one."""
     lo = np.concatenate([np.maximum(ch.lo, t0 - 2.0 * sp) for ch, t0, sp in parts])
     hi = np.concatenate([np.minimum(ch.hi, t0 + 2.0 * sp) for ch, t0, sp in parts])
     split = np.cumsum([np.size(t0) for _, t0, _ in parts])[:-1]
@@ -333,28 +347,33 @@ def polish(g, parts, maximize: bool):
         return np.asarray(g(np.concatenate(pts, axis=u.ndim - 1)))
 
     for _ in range(70):
+        live = hi - lo > xtol * np.maximum(1.0, np.abs(lo))
+        if not live.any():
+            break
         c = lo + _INVPHI2 * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         v = fn(np.stack([c, d]))
         keep_left = v[0] >= v[1] if maximize else v[0] <= v[1]
-        if np.where(keep_left, d == hi, c == lo).all():
+        if not (live & np.where(keep_left, d != hi, c != lo)).any():
             break  # the end that would move is there already
-        hi = np.where(keep_left, d, hi)
-        lo = np.where(keep_left, lo, c)
+        hi = np.where(live & keep_left, d, hi)
+        lo = np.where(live & ~keep_left, c, lo)
     mid = 0.5 * (lo + hi)
     return mid, fn(mid)
 
 
-def chart_extreme(charts, g, m: int, k: int, maximize: bool) -> float:
+def chart_extreme(charts, g, m: int, k: int, maximize: bool,
+                  xtol: float = POLISH_XTOL) -> float:
     """Extremum of ``g(point)`` over the charts: the ``k`` best of each
-    chart's ``m`` nodes, all polished in one call.  The nodes are ranked by
-    a stable sort, so of tied nodes the first is taken."""
+    chart's ``m`` nodes, all polished in one call with freeze width
+    ``xtol``.  The nodes are ranked by a stable sort, so of tied nodes the
+    first is taken."""
     parts = []
     for ch in charts:
         t, pts, spacing = chart_nodes(ch, m)
         v = np.asarray(g(pts), dtype=float)
         parts.append((ch, t[np.argsort(-v if maximize else v, kind="stable")[:k]], spacing))
-    _, vals = polish(g, parts, maximize)
+    _, vals = polish(g, parts, maximize, xtol=xtol)
     return float(vals[np.argmax(vals) if maximize else np.argmin(vals)])
 
 

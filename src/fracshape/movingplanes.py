@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import ImplicitDomain, ProjectionError, chart_extreme, chart_nodes, polish
+from .domains import (POLISH_XTOL, ImplicitDomain, ProjectionError, chart_extreme, chart_nodes,
+                      polish)
 from .specfun import ParameterDomainError
 
 TAG_TANGENCY = "internal-tangency"
@@ -26,6 +27,13 @@ TAG_UNRESOLVED = "unresolved"
 # Level excess above this counts as a genuine inclusion violation; below
 # it is indistinguishable from projection/rounding residue.
 _VIOLATION_EPS = 1e-12
+
+# The finest tol at which ``critical_lambda`` freezes its polishes at
+# POLISH_XTOL; below it every polish runs to its fixed point.  Frozen
+# support values and verdicts at tol 1e-14 move lambda by up to 3.0e-13 on
+# oblique planes of ellipsoid:0.1, 30 times that tol, and the tag's window
+# of 10 tol is far narrower than a frozen witness's bracket.
+_FREEZE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,12 +62,13 @@ def reflect(x, mu: float, e) -> np.ndarray:
     return x - 2.0 * side[..., None] * e
 
 
-def support_value(d: ImplicitDomain, e) -> float:
-    """sup of x.e over the domain, read off its boundary charts."""
+def support_value(d: ImplicitDomain, e, xtol: float = POLISH_XTOL) -> float:
+    """sup of x.e over the domain, read off its boundary charts, polished
+    with freeze width ``xtol``."""
     e = _unit(e)
     if not d.boundary_param:
         raise ProjectionError("support value needs a boundary parametrization")
-    return chart_extreme(d.boundary_param, lambda q: q @ e, 4096, 4, maximize=True)
+    return chart_extreme(d.boundary_param, lambda q: q @ e, 4096, 4, maximize=True, xtol=xtol)
 
 
 def _chart_grids(d: ImplicitDomain, seed: int):
@@ -70,19 +79,20 @@ def _chart_grids(d: ImplicitDomain, seed: int):
     return [(ch, *chart_nodes(ch, m, phase)) for ch in d.boundary_param]
 
 
-def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True):
+def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True,
+              xtol: float = POLISH_XTOL):
     """Worst exterior excess of the reflected cap boundary at offset ``mu``.
 
     Returns ``(excess, reflected_point)``; excess <= 0 means the reflected
     cap stayed inside on every sample.  ``refine=False`` is the cheap scan
     pass: the worst node of each chart grid, nothing more.  Refinement
     polishes each chart's worst node in the chart parameter, all charts in
-    one golden-section call, and keeps the better of node and polish, so
-    it never lowers the excess (points pushed off the cap are penalized by
-    their distance to the plane, which keeps the refined max on the cap
-    side).  A raw excess above the violation threshold is therefore a
-    refined one too, so ``critical_lambda`` refines a verdict only at an
-    offset where the raw pass is clean.
+    one golden-section call with freeze width ``xtol``, and keeps the
+    better of node and polish, so it never lowers the excess (points pushed
+    off the cap are penalized by their distance to the plane, which keeps
+    the refined max on the cap side).  A raw excess above the violation
+    threshold is therefore a refined one too, so ``critical_lambda``
+    refines a verdict only at an offset where the raw pass is clean.
     """
     found = []
     for ch, t, pts, spacing in grids:
@@ -103,7 +113,7 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
             r = q - 2.0 * s_[..., None] * e
             return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float), -np.abs(s_))
 
-        t_ref, v_ref = polish(gain, parts, maximize=True)
+        t_ref, v_ref = polish(gain, parts, maximize=True, xtol=xtol)
         for k, (ch, _, _) in enumerate(parts):
             if float(v_ref[k]) > vals[k]:
                 q = np.asarray(ch.fn(float(t_ref[k])), dtype=float)
@@ -145,11 +155,17 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     all the way down to the far support; its lowest offset reflects the
     top of the domain past the far support, and the raw pass violated
     there on every ball, ellipsoid and bump domain tried.
+
+    One freeze width serves every polish of the call: both support values,
+    every refined verdict and the witness.  For ``tol >= 1e-8`` it is
+    ``POLISH_XTOL``; for a finer ``tol`` it is 0, so each of them runs to
+    its bracket's fixed point.
     """
     e = _unit(e)
-    lam_top = support_value(d, e)
+    xtol = POLISH_XTOL if tol >= _FREEZE_TOL else 0.0
+    lam_top = support_value(d, e, xtol)
     tol = max(tol, float(np.spacing(abs(lam_top))))
-    lam_bot = -support_value(d, -e)
+    lam_bot = -support_value(d, -e, xtol)
     grids = _chart_grids(d, seed)
 
     step = (lam_top - lam_bot) / 400.0
@@ -160,7 +176,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
         mu -= step
 
     def violated(mu, refine=True):
-        return violation(d, grids, mu, e, refine=refine)[0] > _VIOLATION_EPS
+        return violation(d, grids, mu, e, refine=refine, xtol=xtol)[0] > _VIOLATION_EPS
 
     k = next((i for i, mu in enumerate(offsets) if violated(mu, refine=False)), None)
     if k is None:
@@ -182,7 +198,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
             hi_mu = mid
     lam = 0.5 * (lo_mu + hi_mu)
 
-    witness = violation(d, grids, lo_mu, e)[1]
+    witness = violation(d, grids, lo_mu, e, xtol=xtol)[1]
     case = (TAG_ORTHOGONAL if abs(float(witness @ e) - lam) <= 10.0 * tol
             else TAG_TANGENCY)
     return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam, case_tag=case,

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape import domains, seminorm
-from fracshape.domains import (Chart, _ellipse_distance, _smoothstep, ball, boundary_distance,
-                               bump_domain, bump_profile, chart_extreme,
-                               chart_nodes, ellipsoid, erode, odd_cutoff, polish,
+from fracshape import domains, movingplanes, seminorm
+from fracshape.domains import (POLISH_XTOL, Chart, _chart_min_distance, _ellipse_distance,
+                               _smoothstep, ball, boundary_distance, bump_domain, bump_profile,
+                               chart_extreme, chart_nodes, ellipsoid, erode, odd_cutoff, polish,
                                radial_extremes, signed_distance)
 from fracshape.measures import halton_points
-from fracshape.movingplanes import support_value
+from fracshape.movingplanes import critical_lambda, support_value
 from fracshape.specfun import FracParams, ParameterDomainError
 
 
@@ -99,13 +99,17 @@ def _loop_radial_extremes(d):
     m = max(256, 4096 // len(d.boundary_param))
     for ch in d.boundary_param:
         t, pts, spacing = chart_nodes(ch, m)
-        order = np.argsort(np.linalg.norm(pts, axis=-1))
+        r = np.linalg.norm(pts, axis=-1)
 
         def gap(q):
             return np.linalg.norm(q, axis=-1)
 
-        _, v_lo = polish(gap, [(ch, t[order[:4]], spacing)], maximize=False)
-        _, v_hi = polish(gap, [(ch, t[order[-4:]], spacing)], maximize=True)
+        # of tied nodes the first is taken: on the circle the radii tie, and
+        # a frozen bracket keeps the bits of the node it started from
+        _, v_lo = polish(gap, [(ch, t[np.argsort(r, kind="stable")[:4]], spacing)],
+                         maximize=False)
+        _, v_hi = polish(gap, [(ch, t[np.argsort(-r, kind="stable")[:4]], spacing)],
+                         maximize=True)
         lo_best = min(lo_best, float(np.min(v_lo)))
         hi_best = max(hi_best, float(np.max(v_hi)))
     return lo_best, hi_best
@@ -141,6 +145,9 @@ _CLOSED_FORM_SUPPORTS = [
     ("ball:0.5", ball((0.0, 0.0), 0.5), lambda e: 0.5),
 ] + [(f"ellipsoid:{eps}", ellipsoid(eps), _ellipse_support(1.0 + eps))
      for eps in (0.01, 0.1, 0.2)]
+# (name, domain, rho_e); rho_i is 1 on each
+_CLOSED_FORM_RADII = [("ball", ball((0.0, 0.0), 1.0), 1.0)] + [
+    (f"ellipsoid:{eps}", ellipsoid(eps), 1.0 + eps) for eps in (0.0, 1e-9, 0.005, 0.1, 0.2)]
 _STRETCHED_BALL_ROWS = [(s, eps) for s in (0.25, 0.5, 0.75)
                         for eps in (0.02, 0.01, 0.005)] + [(0.5, 1e-9)]
 
@@ -162,6 +169,14 @@ class TestChartExtreme:
             e = np.array([math.cos(k * math.pi / 18.0), math.sin(k * math.pi / 18.0)])
             want = support(e / np.linalg.norm(e))
             assert abs(support_value(d, e) - want) <= 2.0 * np.spacing(want), (name, k)
+
+    @pytest.mark.parametrize("name, d, rho_e", _CLOSED_FORM_RADII,
+                             ids=[c[0] for c in _CLOSED_FORM_RADII])
+    def test_radial_extremes_match_the_closed_form(self, name, d, rho_e):
+        # the frozen polish still reads the extreme radii to 2 ulps
+        rho_i, got = radial_extremes(d)
+        assert abs(rho_i - 1.0) <= 2.0 * np.spacing(1.0)
+        assert abs(got - rho_e) <= 2.0 * np.spacing(rho_e)
 
     @pytest.mark.parametrize("name", sorted(_EXTREME_DOMAINS))
     def test_radial_extremes_keep_the_loop_bits(self, name):
@@ -189,9 +204,9 @@ class TestChartExtreme:
         assert np.array_equal(v, v[::-1])
         starts = []
 
-        def capture(g, parts, maximize):
+        def capture(g, parts, maximize, **kw):
             starts.extend(t0 for _, t0, _ in parts)
-            return polish(g, parts, maximize)
+            return polish(g, parts, maximize, **kw)
 
         monkeypatch.setattr(domains, "polish", capture)
         value = chart_extreme([chart], lambda r: sign * (r * r - 0.25) ** 2, 64, 1, maximize)
@@ -205,21 +220,24 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - np.sqrt(5.0)) / 2.0
 
 
-def two_call_golden_max(fn, lo, hi):
-    """Reference golden section that evaluates its two probes in two calls."""
+def two_call_golden_max(fn, lo, hi, xtol=POLISH_XTOL):
+    """Reference golden section that evaluates its two probes in two calls
+    and always takes 70 steps; a bracket no wider than
+    ``xtol * max(1, |lo|)`` stays as it is."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
     hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
     for _ in range(70):
+        frozen = hi - lo <= xtol * np.maximum(1.0, np.abs(lo))
         c = lo + _INVPHI2 * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         keep_left = np.asarray(fn(c)) >= np.asarray(fn(d))
-        hi = np.where(keep_left, d, hi)
-        lo = np.where(keep_left, lo, c)
+        hi = np.where(keep_left & ~frozen, d, hi)
+        lo = np.where(keep_left | frozen, lo, c)
     mid = 0.5 * (lo + hi)
     return mid, np.asarray(fn(mid))
 
 
-def polish_bracket(fn, lo, hi, maximize=True):
+def polish_bracket(fn, lo, hi, maximize=True, xtol=POLISH_XTOL):
     """``polish`` over exactly ``[lo, hi]``: each bracket gets an identity
     chart whose range is the bracket, and the reach around ``t0`` covers it."""
     t0, spacing = lo, hi - lo
@@ -227,7 +245,7 @@ def polish_bracket(fn, lo, hi, maximize=True):
     assert np.array_equal(np.minimum(hi, t0 + 2.0 * spacing), hi)
     parts = [(Chart(lambda r: r, lo[k], hi[k]), t0[k:k + 1], spacing[k])
              for k in range(lo.size)]
-    return polish(fn, parts, maximize)
+    return polish(fn, parts, maximize, xtol=xtol)
 
 
 # smooth functions with one maximum at a, each broadcasting over any leading axis
@@ -242,6 +260,7 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 _peak = st.sampled_from(sorted(PEAKS))
 _center = st.floats(-3.0, 3.0, **_finite)
 _bracket = st.tuples(st.floats(-5.0, 5.0, **_finite), st.floats(1e-6, 4.0, **_finite))
+_xtol = st.sampled_from([0.0, POLISH_XTOL])
 
 
 def _as_brackets(pairs):
@@ -256,16 +275,19 @@ def _assert_same_bits(got, want):
 
 class TestPolish:
 
-    def test_one_call_per_step(self):
+    @pytest.mark.parametrize("xtol, steps", [(0.0, 70), (POLISH_XTOL, 38)],
+                             ids=["fixed-point", "frozen"])
+    def test_one_call_per_step(self, xtol, steps):
+        # a unit bracket shrinks by 0.618 a step: below 1.49e-8 after 38
+        # steps, while 70 steps leave it wider than its float spacing near 0.3
         calls = []
 
         def fn(t):
             calls.append(np.shape(t))
             return -(t - 0.3) ** 2
 
-        polish_bracket(fn, np.zeros(3), np.ones(3))
-        assert len(calls) == 71
-        assert calls[:70] == [(2, 3)] * 70 and calls[70] == (3,)
+        polish_bracket(fn, np.zeros(3), np.ones(3), xtol=xtol)
+        assert calls == [(2, 3)] * steps + [(3,)]
 
     def test_stops_at_the_brackets_fixed_point(self):
         # near t = 1e3 a 1e-3 bracket is 8.8e9 ulps wide, which golden steps
@@ -277,9 +299,28 @@ class TestPolish:
             return -(t - 1000.0003) ** 2
 
         lo, hi = np.array([1000.0, 999.9995]), np.array([1000.001, 1000.0005])
-        got = polish_bracket(fn, lo, hi)
+        got = polish_bracket(fn, lo, hi, xtol=0.0)
         assert len(calls) < 71 and calls[-1] == (2,)
+        _assert_same_bits(got, two_call_golden_max(fn, lo, hi, xtol=0.0))
+        # the fixed point's bits, which a freeze of 0 keeps
+        assert _hex(got[0]) == ["0x1.f40009d495182p+9", "0x1.f40009d495180p+9"]
+        assert _hex(got[1]) == ["-0x1.0000000000000p-86", "-0x1.2000000000000p-83"]
+
+    def test_freezes_a_bracket_at_its_relative_width(self):
+        # at t = 1e3 the freeze width is 1.49e-5: 1e-3 -> 1.49e-5 takes 9
+        # steps, and the frozen midpoint is within half that of the peak
+        calls = []
+
+        def fn(t):
+            calls.append(np.shape(t))
+            return -(t - 1000.0003) ** 2
+
+        lo, hi = np.array([1000.0, 999.9995]), np.array([1000.001, 1000.0005])
+        got = polish_bracket(fn, lo, hi)
+        assert len(calls) == 10
         _assert_same_bits(got, two_call_golden_max(fn, lo, hi))
+        reach = 0.5 * POLISH_XTOL * 1000.0
+        assert np.all(np.abs(got[0] - 1000.0003) <= reach) and np.all(got[1] >= -reach ** 2)
 
     def test_each_chart_maps_its_own_brackets(self):
         # brackets on three charts of other ranges and maps, clipped at both
@@ -303,26 +344,69 @@ class TestPolish:
                                 np.concatenate([w[1] for w in want])))
 
     @settings(max_examples=60)
-    @given(_peak, _center, _bracket)
-    def test_one_element_bracket_matches_two_calls(self, name, a, bracket):
+    @given(_peak, _center, _bracket, _xtol)
+    def test_one_element_bracket_matches_two_calls(self, name, a, bracket, xtol):
         fn = PEAKS[name](a)
         lo, hi = np.array([bracket[0]]), np.array([bracket[0] + bracket[1]])
-        arg, val = two_call_golden_max(fn, lo, hi)
-        got = polish_bracket(fn, lo, hi)
+        arg, val = two_call_golden_max(fn, lo, hi, xtol)
+        got = polish_bracket(fn, lo, hi, xtol=xtol)
         assert got[0].shape == got[1].shape == (1,)
         _assert_same_bits(got, (arg, val))
-        _assert_same_bits(polish_bracket(lambda t: -fn(t), lo, hi, maximize=False),
+        _assert_same_bits(polish_bracket(lambda t: -fn(t), lo, hi, maximize=False, xtol=xtol),
                           (arg, -val))
 
     @settings(max_examples=60)
-    @given(_peak, _center, st.lists(_bracket, min_size=1, max_size=8))
-    def test_vector_brackets_match_two_calls(self, name, a, pairs):
+    @given(_peak, _center, st.lists(_bracket, min_size=1, max_size=8), _xtol)
+    def test_vector_brackets_match_two_calls(self, name, a, pairs, xtol):
         fn = PEAKS[name](a)
         lo, hi = _as_brackets(pairs)
-        arg, val = two_call_golden_max(fn, lo, hi)
-        _assert_same_bits(polish_bracket(fn, lo, hi), (arg, val))
-        _assert_same_bits(polish_bracket(lambda t: -fn(t), lo, hi, maximize=False),
+        arg, val = two_call_golden_max(fn, lo, hi, xtol)
+        _assert_same_bits(polish_bracket(fn, lo, hi, xtol=xtol), (arg, val))
+        _assert_same_bits(polish_bracket(lambda t: -fn(t), lo, hi, maximize=False, xtol=xtol),
                           (arg, -val))
+
+    @settings(max_examples=60)
+    @given(_peak, _center, st.lists(_bracket, min_size=2, max_size=8), _xtol)
+    def test_batch_mates_do_not_move_a_bracket(self, name, a, pairs, xtol):
+        # brackets of different widths freeze at different steps: each keeps
+        # the (t, value) bits of its polish alone
+        fn = PEAKS[name](a)
+        lo, hi = _as_brackets(pairs)
+        t, v = polish_bracket(fn, lo, hi, xtol=xtol)
+        for k in range(lo.size):
+            _assert_same_bits((t[k:k + 1], v[k:k + 1]),
+                              polish_bracket(fn, lo[k:k + 1], hi[k:k + 1], xtol=xtol))
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Counts the calls every ``polish`` makes of its objective."""
+    calls = [0]
+
+    def counted(g, parts, maximize, **kw):
+        def g_counted(q):
+            calls[0] += 1
+            return g(q)
+        return polish(g_counted, parts, maximize, **kw)
+
+    monkeypatch.setattr(domains, "polish", counted)
+    monkeypatch.setattr(movingplanes, "polish", counted)
+    return calls
+
+
+class TestPolishBudget:
+    # objective calls at the brackets' fixed point, before the freeze: 764
+    # for the plane, 71 for the distance block; each bound is half of that
+
+    def test_bump_plane(self, objective_calls):
+        critical_lambda(bump_domain(1e-3, 2.0), (1.0, 0.0), tol=1e-8, seed=0)
+        assert objective_calls[0] <= 382
+
+    def test_bump_distance_block(self, objective_calls):
+        u = halton_points(4096, 0)
+        pts = np.stack([0.1 * u[:, 0], -1.02 + 0.04 * u[:, 1]], axis=-1)
+        _chart_min_distance(bump_domain(1e-3, 2.0), pts)
+        assert objective_calls[0] <= 35
 
 
 class TestBall:

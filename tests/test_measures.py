@@ -196,8 +196,13 @@ class TestBoundaryWeightedIntegral:
         est = boundary_weighted_integral(d, s, 300_000, seed=2)
         assert est.value == pytest.approx(want, rel=0.02)
 
-    def test_unit_disk_is_exactly_zero(self):
-        est = boundary_weighted_integral(ball((0.0, 0.0), 1.0), 0.5, 1000)
+    # rho_e - 1 at most 1e-12 takes the closed form; the frozen polish of
+    # rho_e must keep these there
+    @pytest.mark.parametrize("make", [lambda: ball((0.0, 0.0), 1.0),
+                                      lambda: ball((0.0, 0.0), 1e-3), lambda: ellipsoid(0.0)],
+                             ids=["ball:1", "ball:1e-3", "ellipsoid:0"])
+    def test_unit_disk_is_exactly_zero(self, make):
+        est = boundary_weighted_integral(make(), 0.5, 1000)
         assert est == MeasureEstimate(value=0.0, error=0.0, method="closed-form",
                                       n_samples=0)
 

@@ -168,6 +168,24 @@ class TestCriticalPlane:
         assert res.case_tag in (TAG_TANGENCY, TAG_ORTHOGONAL)
         assert res.lam == pytest.approx(lam, rel=0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("make", [lambda: ellipsoid(0.1), lambda: bump_domain(1e-3, 2.0)],
+                             ids=["ellipsoid-0.1", "bump-1e-3"])
+    def test_frozen_polish_keeps_the_oblique_planes(self, make, monkeypatch):
+        # 24 directions at tol 1e-8 against the same scan with every polish
+        # run to its fixed point: the same tag, and lambda and Lambda to 4
+        # ulps of Lambda, the scale of the offsets that the scan steps from
+        d = make()
+        es = [np.array([math.cos(t), math.sin(t)])
+              for t in np.radians((np.arange(24) + 0.5) * 15.0)]
+        frozen = [critical_lambda(d, e, tol=1e-8) for e in es]
+        monkeypatch.setattr("fracshape.movingplanes._FREEZE_TOL", math.inf)
+        for e, got in zip(es, frozen):
+            want = critical_lambda(d, e, tol=1e-8)
+            assert got.case_tag == want.case_tag, e
+            ulp = np.spacing(abs(want.Lambda))
+            assert abs(got.lam - want.lam) <= 4.0 * ulp, e
+            assert abs(got.Lambda - want.Lambda) <= 4.0 * ulp, e
+
     @pytest.mark.parametrize("make, e, tol", [
         (lambda: ball((0.0, 0.0), 1.0), (1.0, 0.0), 1e-6),
         (lambda: ellipsoid(0.1), (1.0, 1.0), 1e-6),
@@ -192,9 +210,9 @@ class TestCriticalPlane:
         want = refined_scan(d, e, 1e-6)
         seen_below = want[0] - 3 * 2.0 / 400.0  # the disk's width is 2
 
-        def late(*args, refine=True):
+        def late(*args, refine=True, **kw):
             if refine or args[2] < seen_below:
-                return violation(*args, refine=refine)
+                return violation(*args, refine=refine, **kw)
             return -math.inf, None
 
         monkeypatch.setattr("fracshape.movingplanes.violation", late)
@@ -205,9 +223,9 @@ class TestCriticalPlane:
     def test_refines_only_near_the_critical_offset(self, monkeypatch):
         refined = []
 
-        def counted(*args, refine=True):
+        def counted(*args, refine=True, **kw):
             refined.append(refine)
-            return violation(*args, refine=refine)
+            return violation(*args, refine=refine, **kw)
 
         monkeypatch.setattr("fracshape.movingplanes.violation", counted)
         critical_lambda(bump_domain(1e-3, 2.0), np.array([1.0, 0.0]), tol=1e-8)
