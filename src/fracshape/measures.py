@@ -191,7 +191,11 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
 
         mean, bar = _mean_3sigma(correction(_draw(region, n, seed)))
         area = _box_volume(region)
-        return MeasureEstimate(value=base + area * mean, error=area * bar + err_geom,
+        # The correction's mean is signed, so when the band measure is within
+        # its bar of 0 the sum can dip below it; a measure is >= 0, and 0 with
+        # the same bar still covers the interval the sum stood for.
+        return MeasureEstimate(value=max(base + area * mean, 0.0),
+                               error=area * bar + err_geom,
                                method="monte-carlo", n_samples=n)
 
     box = _mirror_hull(d.bbox, lam, e)

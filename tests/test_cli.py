@@ -570,6 +570,9 @@ class TestSlabMeasureInputs:
     # round, and the error bar must still be >= 0
     @example(domain="bump:0.03125:2.0", e=(0.0, 1.0), gamma=5.004602393795784e-07,
              tol=1.192092896e-07, n=100)
+    # a thin band where the sampled correction outweighs the disk part
+    @example(domain="bump:0.0078125:1.5", e=(1.25, 0.0625), gamma=0.001953125,
+             tol=0.0005326781236714771, n=807)
     def test_accepted_input_ends_within_budget_or_exits_two_or_three(
             self, domain, e, gamma, tol, n):
         code, res = _run_timed(["slab-measure", "--domain", domain, "--e", f"{e[0]!r},{e[1]!r}",

@@ -135,6 +135,17 @@ class TestSlabMeasure:
         est = slab_measure(bump_domain(1e-3, 2.0), plane_at(0.03), 0.2, 5000, seed=1)
         assert est.method == "monte-carlo" and sizes.count(5000) == 1
 
+    def test_thin_band_estimate_is_never_negative(self):
+        # at n = 807 the signed correction outweighs the closed-form disk part
+        # (the sum read -6.4e-7 +- 9.5e-6); the 200,000-point estimate is
+        # 1.36e-6 +- 4.3e-7, inside the reported interval of the small one
+        e = np.array([1.25, 0.0625]) / math.hypot(1.25, 0.0625)
+        d, res = bump_domain(0.0078125, 1.5), plane_at(0.16328125, e=e, tol=5e-4)
+        small = slab_measure(d, res, 0.001953125, 807)
+        big = slab_measure(d, res, 0.001953125, 200_000)
+        assert small.value == 0.0 and small.error > 0.0
+        assert abs(big.value - small.value) <= small.error + big.error
+
     def test_band_width_validation(self):
         d = ball((0.0, 0.0), 1.0)
         res = plane_at(0.0)
