@@ -26,8 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .domains import ball, bump_domain, boundary_distance, ellipsoid
-from .experiments import (LEMMA_FIELDS, PROBE_FIELDS, SCAN_FIELDS, config_hash,
-                          counterexample_scan, geometric_lemma_check,
+from .experiments import (config_hash, counterexample_scan, geometric_lemma_check,
                           stability_probe, write_table)
 from .frlap import _INNER_RADIUS, frlap_eval, torsion_ball, torsion_ellipsoid
 from .measures import boundary_weighted_integral, halton_points, slab_measure
@@ -228,7 +227,7 @@ def _as_domain(text, name):
 # writes its JSON summary and any artifacts through _emit
 
 
-def _emit(cfg: RunConfig, results: dict, rows=None, fieldnames=None):
+def _emit(cfg: RunConfig, results: dict, rows=None):
     summary = {"command": cfg.command, "params": cfg.params, "seed": cfg.seed,
                "results": results}
     if rows is not None:
@@ -236,7 +235,7 @@ def _emit(cfg: RunConfig, results: dict, rows=None, fieldnames=None):
         out = Path(cfg.output_path)
         out.mkdir(parents=True, exist_ok=True)
         csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
-        write_table(csv_path, rows, fieldnames)
+        write_table(csv_path, rows)
         summary["artifacts"] = [str(csv_path), str(json_path)]
         json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(json.dumps(summary, sort_keys=True, indent=2))
@@ -284,8 +283,7 @@ def _cmd_torsion_check(cfg, domain, s, points, min_dist):
                                                   res.error.tolist(), res.converged.tolist())]
     # np.max, not max(): a NaN deviation must not read as the smaller value
     worst = float(np.max(np.abs(res.value - 1.0)))
-    return _emit(cfg, {"points": len(rows), "max_abs_dev": worst},
-                 rows=rows, fieldnames=("x1", "x2", "value", "error", "converged"))
+    return _emit(cfg, {"points": len(rows), "max_abs_dev": worst}, rows=rows)
 
 
 @_command("seminorm-ratio", s=("0.5", _S), eps=(None, _STRETCH),
@@ -329,7 +327,7 @@ def _cmd_counterexample_scan(cfg, alpha, eps, gamma, tol, n):
     scan = counterexample_scan(alpha, eps, gamma, tol=tol, n_slab=n, seed=cfg.seed)
     return _emit(cfg, {"lambda_fit": asdict(scan.lambda_fit) if scan.lambda_fit else None,
                        "slab_fit": asdict(scan.slab_fit) if scan.slab_fit else None},
-                 rows=scan.rows, fieldnames=SCAN_FIELDS)
+                 rows=scan.rows)
 
 
 @_command("stability-probe", s=("0.5", _S),
@@ -339,7 +337,7 @@ def _cmd_stability_probe(cfg, s, eps, n_pairs):
     p = FracParams(2, s)
     probe = stability_probe(p, eps, budget=OptimBudget(n_pairs=n_pairs, seed=cfg.seed))
     return _emit(cfg, {"fit": asdict(probe.fit) if probe.fit else None},
-                 rows=probe.rows, fieldnames=PROBE_FIELDS)
+                 rows=probe.rows)
 
 
 @_command("lemma-check", alpha=("2", _ALPHA),
@@ -353,7 +351,7 @@ def _cmd_lemma_check(cfg, alpha, eps, gamma, tol, n):
     if clean:
         results["ratio_thm52_band"] = [min(r["ratio_thm52"] for r in clean),
                                        max(r["ratio_thm52"] for r in clean)]
-    return _emit(cfg, results, rows=table.rows, fieldnames=LEMMA_FIELDS)
+    return _emit(cfg, results, rows=table.rows)
 
 
 def main(argv=None) -> int:

@@ -6,16 +6,16 @@ have shape ``(..., 2)`` and values come back with shape ``(...,)``.
 
 Every boundary quantity read off the charts (support values, radial extremes,
 distances, the moving-plane excess) uses one primitive: a uniform
-node grid per chart (``chart_nodes``), the caller's best nodes, and a golden
+node grid per chart (``chart_grids``), the caller's best nodes, and a golden
 section within two node spacings of each (``polish``, the package's only
 golden-section search), which maps each chart's brackets with that chart and
 polishes the brackets of all charts in one loop.  ``chart_extreme`` is that
 primitive for an extremum of a function of the boundary point, and serves
-support values, radial extremes and the coincidence sup; no domain carries a
-closed form for them.  Each bracket freezes once its relative width is
-``POLISH_XTOL`` (sqrt of the float epsilon) unless its caller asks for the
-fixed point with ``xtol = 0``; only ``critical_lambda`` does, for a ``tol``
-below 1e-8.
+support values, radial extremes, the moving-plane excess and the coincidence
+sup; no domain carries a closed form for them.  Each bracket freezes once
+its relative width is ``POLISH_XTOL`` (sqrt of the float epsilon) unless its
+caller asks for the fixed point with ``xtol = 0``; only ``critical_lambda``
+does, for a ``tol`` below 1e-8.
 """
 
 from __future__ import annotations
@@ -302,14 +302,15 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
 # boundary sampling and distances
 
 
-def chart_nodes(ch: Chart, m: int, phase: float = 0.5):
-    """Uniform node grid of ``m`` nodes on a chart.
-
-    Node ``k`` sits at parameter ``lo + (k + phase) * spacing``.  Returns
-    ``(t, points, spacing)``.
-    """
-    t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + phase) / m
-    return t, np.asarray(ch.fn(t), dtype=float), (ch.hi - ch.lo) / m
+def chart_grids(charts, m: int, phase: float = 0.5):
+    """Uniform node grids of ``m`` nodes on each chart, as
+    ``(chart, t, points, spacing)``: node ``k`` sits at parameter
+    ``lo + (k + phase) * spacing``."""
+    grids = []
+    for ch in charts:
+        t = ch.lo + (ch.hi - ch.lo) * (np.arange(m) + phase) / m
+        grids.append((ch, t, np.asarray(ch.fn(t), dtype=float), (ch.hi - ch.lo) / m))
+    return grids
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -336,15 +337,16 @@ def polish(g, parts, maximize: bool, xtol: float = POLISH_XTOL):
     every bracket has stopped.  Each bracket stops on its own, so its bits
     do not depend on the brackets polished with it.  ``xtol = 0`` runs every
     bracket to its fixed point.  The final call gets the midpoints alone.
-    Returns stacked ``(t, value)``; where ``g`` is not unimodal on a
-    bracket, the extremum found may be a local one."""
+    Returns its stacked ``(t, points, values)``; where ``g`` is not unimodal
+    on a bracket, the extremum found may be a local one."""
     lo = np.concatenate([np.maximum(ch.lo, t0 - 2.0 * sp) for ch, t0, sp in parts])
     hi = np.concatenate([np.minimum(ch.hi, t0 + 2.0 * sp) for ch, t0, sp in parts])
     split = np.cumsum([np.size(t0) for _, t0, _ in parts])[:-1]
 
     def fn(u):
-        pts = [ch.fn(uk) for (ch, _, _), uk in zip(parts, np.split(u, split, axis=-1))]
-        return np.asarray(g(np.concatenate(pts, axis=u.ndim - 1)))
+        pts = np.concatenate([ch.fn(uk) for (ch, _, _), uk in
+                              zip(parts, np.split(u, split, axis=-1))], axis=u.ndim - 1)
+        return pts, np.asarray(g(pts))
 
     for _ in range(70):
         live = hi - lo > xtol * np.maximum(1.0, np.abs(lo))
@@ -352,29 +354,36 @@ def polish(g, parts, maximize: bool, xtol: float = POLISH_XTOL):
             break
         c = lo + _INVPHI2 * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
-        v = fn(np.stack([c, d]))
+        _, v = fn(np.stack([c, d]))
         keep_left = v[0] >= v[1] if maximize else v[0] <= v[1]
         if not (live & np.where(keep_left, d != hi, c != lo)).any():
             break  # the end that would move is there already
         hi = np.where(live & keep_left, d, hi)
         lo = np.where(live & ~keep_left, c, lo)
     mid = 0.5 * (lo + hi)
-    return mid, fn(mid)
+    return (mid, *fn(mid))
 
 
-def chart_extreme(charts, g, m: int, k: int, maximize: bool,
-                  xtol: float = POLISH_XTOL) -> float:
-    """Extremum of ``g(point)`` over the charts: the ``k`` best of each
-    chart's ``m`` nodes, all polished in one call with freeze width
+def chart_extreme(grids, g, k: int, maximize: bool, xtol: float = POLISH_XTOL):
+    """Extremum of ``g(point)`` over chart grids (``chart_grids``): the ``k``
+    best nodes of each grid, all polished in one call with freeze width
     ``xtol``.  The nodes are ranked by a stable sort, so of tied nodes the
-    first is taken."""
-    parts = []
-    for ch in charts:
-        t, pts, spacing = chart_nodes(ch, m)
+    first is taken, and a bracket keeps its node unless its polish is
+    strictly better, so the result is never worse than the best node.
+    Returns ``(value, point)``; of tied brackets the first wins."""
+    parts, node_pts, node_vals = [], [], []
+    for ch, t, pts, spacing in grids:
         v = np.asarray(g(pts), dtype=float)
-        parts.append((ch, t[np.argsort(-v if maximize else v, kind="stable")[:k]], spacing))
-    _, vals = polish(g, parts, maximize, xtol=xtol)
-    return float(vals[np.argmax(vals) if maximize else np.argmin(vals)])
+        best = np.argsort(-v if maximize else v, kind="stable")[:k]
+        parts.append((ch, t[best], spacing))
+        node_pts.append(pts[best])
+        node_vals.append(v[best])
+    _, pts, vals = polish(g, parts, maximize, xtol=xtol)
+    node_vals = np.concatenate(node_vals)
+    polished = vals > node_vals if maximize else vals < node_vals
+    vals = np.where(polished, vals, node_vals)
+    i = int(np.argmax(vals) if maximize else np.argmin(vals))
+    return float(vals[i]), (pts if polished[i] else np.concatenate(node_pts))[i]
 
 
 def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
@@ -386,12 +395,10 @@ def _chart_min_distance(d: ImplicitDomain, pts: np.ndarray) -> np.ndarray:
 
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
-    parts = []
-    for ch in d.boundary_param:
-        t, nodes, spacing = chart_nodes(ch, 2048)
-        parts.append((ch, t[cKDTree(nodes).query(flat)[1]], spacing))
+    parts = [(ch, t[cKDTree(nodes).query(flat)[1]], spacing)
+             for ch, t, nodes, spacing in chart_grids(d.boundary_param, 2048)]
     each = np.tile(flat, (len(parts), 1))  # every point once per chart
-    _, dist = polish(lambda q: np.linalg.norm(q - each, axis=-1), parts, maximize=False)
+    _, _, dist = polish(lambda q: np.linalg.norm(q - each, axis=-1), parts, maximize=False)
     return dist.reshape(len(parts), -1).min(axis=0).reshape(pts.shape[:-1])
 
 
@@ -464,9 +471,8 @@ def erode(d: ImplicitDomain, rho) -> ImplicitDomain:
 def radial_extreme(d: ImplicitDomain, maximize: bool) -> float:
     """Farthest (``maximize``) or nearest boundary point's distance from the
     origin, chart-refined."""
-    m = max(256, 4096 // len(d.boundary_param))
-    return chart_extreme(d.boundary_param, lambda q: np.linalg.norm(q, axis=-1), m, 4,
-                         maximize)
+    grids = chart_grids(d.boundary_param, max(256, 4096 // len(d.boundary_param)))
+    return chart_extreme(grids, lambda q: np.linalg.norm(q, axis=-1), 4, maximize)[0]
 
 
 def radial_extremes(d: ImplicitDomain):

@@ -70,10 +70,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def write_table(path, rows: Sequence[dict], fieldnames: Sequence[str]) -> None:
-    """CSV writer with repr-exact floats so identical runs share bytes."""
+def write_table(path, rows: Sequence[dict]) -> None:
+    """CSV writer with repr-exact floats so identical runs share bytes; the
+    columns are the keys of the first row, in its order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v
@@ -82,8 +83,6 @@ def write_table(path, rows: Sequence[dict], fieldnames: Sequence[str]) -> None:
 
 # ---------------------------------------------------------------------------
 # stretched-ball stability probe
-
-PROBE_FIELDS = ("eps", "rho_shape", "seminorm", "flag")
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,6 @@ def stability_probe(p: FracParams, eps_grid,
 
 # ---------------------------------------------------------------------------
 # bump-family critical-plane scaling
-
-SCAN_FIELDS = ("eps", "lam", "slab", "slab_err", "case", "flag")
 
 _SWEEP = (1.0, 0.0)  # the bump breaks symmetry along the first axis
 
@@ -178,9 +175,6 @@ def counterexample_scan(alpha: float, eps_grid, gamma: float, tol: float = 1e-8,
 
 # ---------------------------------------------------------------------------
 # slab-measure sharpness table
-
-LEMMA_FIELDS = ("eps", "gamma", "lam", "gap", "slab", "slab_err",
-                "ratio_thm52", "ratio_lem53", "ratio_linear", "flag")
 
 
 @dataclass(frozen=True)

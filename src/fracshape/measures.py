@@ -179,12 +179,11 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
             return MeasureEstimate(value=base, error=err_geom, method="closed-form",
                                    n_samples=0)
         region = _mirror_hull(dev.box, lam, e)
-        disk = np.zeros(2)
 
         def correction(pts):
             mirrored = reflect(pts, lam, e)
-            in_disk = np.linalg.norm(pts - disk, axis=-1) < dev.radius
-            in_disk_r = np.linalg.norm(mirrored - disk, axis=-1) < dev.radius
+            in_disk = np.linalg.norm(pts, axis=-1) < dev.radius
+            in_disk_r = np.linalg.norm(mirrored, axis=-1) < dev.radius
             f = (d.contains(pts) ^ d.contains(mirrored)).astype(float)
             g = (in_disk ^ in_disk_r).astype(float)
             return in_band(pts) * (f - g)

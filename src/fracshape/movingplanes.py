@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import (POLISH_XTOL, ImplicitDomain, ProjectionError, chart_extreme, chart_nodes,
-                      polish)
+from .domains import POLISH_XTOL, ImplicitDomain, ProjectionError, chart_extreme, chart_grids
 from .specfun import ParameterDomainError
 
 TAG_TANGENCY = "internal-tangency"
@@ -68,15 +67,8 @@ def support_value(d: ImplicitDomain, e, xtol: float = POLISH_XTOL) -> float:
     e = _unit(e)
     if not d.boundary_param:
         raise ProjectionError("support value needs a boundary parametrization")
-    return chart_extreme(d.boundary_param, lambda q: q @ e, 4096, 4, maximize=True, xtol=xtol)
-
-
-def _chart_grids(d: ImplicitDomain, seed: int):
-    """Per-chart node grids ``(chart, t, points, spacing)`` of 8192 nodes in
-    all; seed shifts the phase."""
-    m = max(64, 8192 // len(d.boundary_param))
-    phase = (0.5 + seed * 0.6180339887498949) % 1.0
-    return [(ch, *chart_nodes(ch, m, phase)) for ch in d.boundary_param]
+    grids = chart_grids(d.boundary_param, 4096)
+    return chart_extreme(grids, lambda q: q @ e, 4, maximize=True, xtol=xtol)[0]
 
 
 def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True,
@@ -84,43 +76,33 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     """Worst exterior excess of the reflected cap boundary at offset ``mu``.
 
     Returns ``(excess, reflected_point)``; excess <= 0 means the reflected
-    cap stayed inside on every sample.  ``refine=False`` is the cheap scan
-    pass: the worst node of each chart grid, nothing more.  Refinement
-    polishes each chart's worst node in the chart parameter, all charts in
-    one golden-section call with freeze width ``xtol``, and keeps the
-    better of node and polish, so it never lowers the excess (points pushed
-    off the cap are penalized by their distance to the plane, which keeps
-    the refined max on the cap side).  A raw excess above the violation
-    threshold is therefore a refined one too, so ``critical_lambda``
-    refines a verdict only at an offset where the raw pass is clean.
+    cap stayed inside on every sample.  The excess of a boundary point is
+    the level of its reflection on the cap side and minus its distance to
+    the plane off it, which keeps a refined max on the cap side.
+    ``refine=False`` is the cheap scan pass: the worst node of the grids,
+    nothing more.  Refinement is ``chart_extreme`` of each chart's worst
+    node, so it never lowers the excess, and a raw excess above the
+    violation threshold is a refined one too: ``critical_lambda`` refines a
+    verdict only at an offset where the raw pass is clean.
     """
-    found = []
-    for ch, t, pts, spacing in grids:
-        side = pts @ e - mu
-        mask = side > 0.0
-        if not np.any(mask):
-            continue
-        refl = pts[mask] - 2.0 * side[mask, None] * e
-        lv = np.atleast_1d(np.asarray(d.level(refl), dtype=float))
-        i = int(np.argmax(lv))
-        found.append(((ch, t[mask][i:i + 1], spacing), float(lv[i]), refl[i]))
-    if not found:
-        return -math.inf, None
-    parts, vals, pts = map(list, zip(*found))
-    if refine:
-        def gain(q):
-            s_ = q @ e - mu
-            r = q - 2.0 * s_[..., None] * e
-            return np.where(s_ > 0.0, np.asarray(d.level(r), dtype=float), -np.abs(s_))
+    def gain(q):
+        side = q @ e - mu
+        out = -np.abs(side)
+        cap = side > 0.0
+        if cap.any():
+            out[cap] = d.level(q[cap] - 2.0 * side[cap][:, None] * e)
+        return out
 
-        t_ref, v_ref = polish(gain, parts, maximize=True, xtol=xtol)
-        for k, (ch, _, _) in enumerate(parts):
-            if float(v_ref[k]) > vals[k]:
-                q = np.asarray(ch.fn(float(t_ref[k])), dtype=float)
-                vals[k] = float(v_ref[k])
-                pts[k] = q - 2.0 * (float(q @ e) - mu) * e
-    k = int(np.argmax(vals))
-    return vals[k], np.asarray(pts[k], dtype=float)
+    if refine:
+        value, point = chart_extreme(grids, gain, 1, True, xtol)
+    else:
+        value, point = -math.inf, None
+        for _, _, pts, _ in grids:
+            v = gain(pts)
+            i = int(np.argmax(v))
+            if v[i] > value:
+                value, point = float(v[i]), pts[i]
+    return value, point - 2.0 * (point @ e - mu) * e
 
 
 def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
@@ -129,12 +111,13 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     plus bisection.
 
     The scan steps down from Lambda toward the far support by 1/400 of the
-    domain's width along ``e``.  It runs the cheap unrefined ``violation``
+    domain's width along ``e``, and samples the excess on 8192 chart nodes in
+    all, on grids whose phase the seed shifts.  It runs the cheap unrefined ``violation``
     pass at every offset and refines only where the verdict is decided:
     from the first offset whose raw excess is positive it steps back up
     with refined calls while the offset above is still violated.  This
     rests on the refined excess never falling below the raw one
-    (refinement keeps the better of the node and its polish), so the first
+    (``chart_extreme`` keeps the better of the node and its polish), so the first
     refined violation sits at or above the first raw one; it is missed only
     if a refined-clean offset separates them.  The topmost violated offset
     and the one above it (or Lambda) bracket the critical value, which
@@ -166,7 +149,8 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     lam_top = support_value(d, e, xtol)
     tol = max(tol, float(np.spacing(abs(lam_top))))
     lam_bot = -support_value(d, -e, xtol)
-    grids = _chart_grids(d, seed)
+    grids = chart_grids(d.boundary_param, max(64, 8192 // len(d.boundary_param)),
+                        (0.5 + seed * 0.6180339887498949) % 1.0)
 
     step = (lam_top - lam_bot) / 400.0
     offsets = []

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import Chart, chart_extreme, polish
+from .domains import Chart, chart_extreme, chart_grids, polish
 from .frlap import torsion_ellipsoid
 from .measures import halton_points
 from .specfun import FracParams, ParameterDomainError, gamma_ns, gamma_nse
@@ -123,7 +123,7 @@ def _best_pair(values, chart: Chart, budget: OptimBudget):
             moved = x, np.asarray(values(x), dtype=float)
             return quotient(*moved, *fixed)
 
-        t, v = polish(g, [(chart, t0, width / 2.0)], maximize=True)
+        t, _, v = polish(g, [(chart, t0, width / 2.0)], maximize=True)
         return t, moved, v
 
     u = halton_points(budget.n_pairs, budget.seed)
@@ -147,7 +147,7 @@ def _best_pair(values, chart: Chart, budget: OptimBudget):
         tt, b, v = polish_end(tt, a, width)
         width /= 20.0
     k = int(np.argmax(v))
-    return chart.fn(float(t[k])), chart.fn(float(tt[k]))
+    return a[0][k], b[0][k]
 
 
 def _closed_form_seminorm(values, chart: Chart, rate,
@@ -164,8 +164,8 @@ def _closed_form_seminorm(values, chart: Chart, rate,
     ``values`` is f on blocks of points, each value of its own point only;
     the pair's ends take bare one-point calls (scalar pow, see power_field).
     """
-    closed = chart_extreme([Chart(lambda r: r, chart.lo, chart.hi)], rate, _GRID, 1,
-                           maximize=True)
+    grids = chart_grids([Chart(lambda r: r, chart.lo, chart.hi)], _GRID)
+    closed = chart_extreme(grids, rate, 1, maximize=True)[0]
     x, y = _best_pair(values, chart, budget or OptimBudget())
     fx, fy = float(values(x)), float(values(y))
     allowance = _ROUNDING_ULPS * float(np.spacing(max(abs(fx), abs(fy))))

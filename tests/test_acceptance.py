@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from fracshape.domains import (ball, boundary_distance, bump_domain, chart_nodes,
+from fracshape.domains import (ball, boundary_distance, bump_domain, chart_grids,
                                ellipsoid, erode, signed_distance)
 from fracshape.experiments import (counterexample_scan, exponent_fit,
                                    geometric_lemma_check)
@@ -29,7 +29,7 @@ def boundary_samples(d, n):
     """Midpoint nodes of every boundary chart, at least ``n`` in all: a chart
     gets ``max(64, n // charts)`` nodes."""
     m = max(64, n // len(d.boundary_param))
-    return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param])
+    return np.concatenate([pts for _, _, pts, _ in chart_grids(d.boundary_param, m)])
 
 
 BOX = np.array([[-1.0, -1.0], [1.0, 1.0]])

@@ -331,6 +331,15 @@ class TestTorsionCheckDraw:
         assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
         assert len(drawn) > 2 and max(drawn) < 65536
 
+    def test_table_columns(self, capsys, monkeypatch, tmp_path):
+        # README's torsion-check columns, in the order written
+        monkeypatch.setattr(cli, "frlap_eval", lambda f, x: FrlapResult(
+            value=np.ones(len(x)), error=np.zeros(len(x)), converged=np.ones(len(x), dtype=bool)))
+        code, out, err = run(capsys, *self.ARGS, "--points", "2", "--out", str(tmp_path))
+        assert code == 0, err
+        csv_art = next(p for p in json.loads(out)["artifacts"] if p.endswith(".csv"))
+        assert Path(csv_art).read_text().splitlines()[0] == "x1,x2,value,error,converged"
+
     def test_too_many_points_still_fail_at_the_full_stream(self, capsys, tmp_path):
         code, out, err = run(capsys, *self.ARGS, "--points", "40000", "--out", str(tmp_path))
         assert code == 2 and out == ""

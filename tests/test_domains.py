@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape import domains, movingplanes, seminorm
+from fracshape import domains, seminorm
 from fracshape.domains import (POLISH_XTOL, Chart, _chart_min_distance, _ellipse_distance,
                                _smoothstep, ball, boundary_distance, bump_domain, bump_profile,
-                               chart_extreme, chart_nodes, ellipsoid, erode, odd_cutoff, polish,
+                               chart_extreme, chart_grids, ellipsoid, erode, odd_cutoff, polish,
                                radial_extremes, signed_distance)
 from fracshape.measures import halton_points
 from fracshape.movingplanes import critical_lambda, support_value
@@ -21,7 +21,7 @@ def boundary_samples(d, n):
     """Midpoint nodes of every boundary chart, at least ``n`` in all: a chart
     gets ``max(64, n // charts)`` nodes."""
     m = max(64, n // len(d.boundary_param))
-    return np.concatenate([chart_nodes(ch, m)[1] for ch in d.boundary_param])
+    return np.concatenate([pts for _, _, pts, _ in chart_grids(d.boundary_param, m)])
 
 
 # Signed distances to the ellipse x^2/1.1^2 + y^2 = 1, frozen from projection
@@ -80,17 +80,18 @@ _ANYWHERE = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
 
 
 # Test-local copies of the three loops that chart_extreme replaced: each
-# ranks a chart's nodes, polishes the best ones and keeps the best polish.
+# ranks a chart's nodes, polishes the best ones and keeps the best of those
+# nodes and their polishes.
 
 def _loop_support(d, e):
     e = np.asarray(e, dtype=float) / float(np.linalg.norm(e))
     best = -math.inf
     for ch in d.boundary_param:
-        t, pts, spacing = chart_nodes(ch, 4096)
-
-        _, v = polish(lambda q: q @ e, [(ch, t[np.argsort(pts @ e)[-4:]], spacing)],
-                      maximize=True)
-        best = max(best, float(np.max(v)))
+        (_, t, pts, spacing), = chart_grids([ch], 4096)
+        v = pts @ e
+        top = np.argsort(v)[-4:]
+        _, _, v_pol = polish(lambda q: q @ e, [(ch, t[top], spacing)], maximize=True)
+        best = max(best, float(np.max(v[top])), float(np.max(v_pol)))
     return best
 
 
@@ -98,7 +99,7 @@ def _loop_radial_extremes(d):
     lo_best, hi_best = np.inf, -np.inf
     m = max(256, 4096 // len(d.boundary_param))
     for ch in d.boundary_param:
-        t, pts, spacing = chart_nodes(ch, m)
+        (_, t, pts, spacing), = chart_grids([ch], m)
         r = np.linalg.norm(pts, axis=-1)
 
         def gap(q):
@@ -106,21 +107,21 @@ def _loop_radial_extremes(d):
 
         # of tied nodes the first is taken: on the circle the radii tie, and
         # a frozen bracket keeps the bits of the node it started from
-        _, v_lo = polish(gap, [(ch, t[np.argsort(r, kind="stable")[:4]], spacing)],
-                         maximize=False)
-        _, v_hi = polish(gap, [(ch, t[np.argsort(-r, kind="stable")[:4]], spacing)],
-                         maximize=True)
-        lo_best = min(lo_best, float(np.min(v_lo)))
-        hi_best = max(hi_best, float(np.max(v_hi)))
+        low, high = np.argsort(r, kind="stable")[:4], np.argsort(-r, kind="stable")[:4]
+        _, _, v_lo = polish(gap, [(ch, t[low], spacing)], maximize=False)
+        _, _, v_hi = polish(gap, [(ch, t[high], spacing)], maximize=True)
+        lo_best = min(lo_best, float(np.min(r[low])), float(np.min(v_lo)))
+        hi_best = max(hi_best, float(np.max(r[high])), float(np.max(v_hi)))
     return lo_best, hi_best
 
 
 def _loop_coincidence_sup(rate, lo, hi, grid=2048):
     t = lo + (hi - lo) * (np.arange(grid) + 0.5) / grid
-    k = int(np.argmax(rate(t)))
-    _, value = polish(rate, [(Chart(lambda r: r, lo, hi), t[k:k + 1], (hi - lo) / grid)],
-                      maximize=True)
-    return float(value[0])
+    v = rate(t)
+    k = int(np.argmax(v))
+    _, _, value = polish(rate, [(Chart(lambda r: r, lo, hi), t[k:k + 1], (hi - lo) / grid)],
+                         maximize=True)
+    return max(float(v[k]), float(value[0]))
 
 
 def _hex(values):
@@ -191,7 +192,8 @@ class TestChartExtreme:
         def rate(r):
             return seminorm._torsion_rate(p, eps, r)
 
-        got = chart_extreme([Chart(lambda r: r, -1.0, 1.0)], rate, 2048, 1, maximize=True)
+        grids = chart_grids([Chart(lambda r: r, -1.0, 1.0)], 2048)
+        got, _ = chart_extreme(grids, rate, 1, maximize=True)
         assert _hex([got]) == _hex([_loop_coincidence_sup(rate, -1.0, 1.0)])
 
     @pytest.mark.parametrize("maximize", [True, False])
@@ -199,7 +201,8 @@ class TestChartExtreme:
         # two exact mirror extrema at t = -1/2 and 1/2 on a grid symmetric about 0
         sign = -1.0 if maximize else 1.0
         chart = Chart(lambda r: r, -1.0, 1.0)
-        t, pts, spacing = chart_nodes(chart, 64)
+        grids = chart_grids([chart], 64)
+        _, t, pts, spacing = grids[0]
         v = sign * (pts * pts - 0.25) ** 2
         assert np.array_equal(v, v[::-1])
         starts = []
@@ -209,11 +212,46 @@ class TestChartExtreme:
             return polish(g, parts, maximize, **kw)
 
         monkeypatch.setattr(domains, "polish", capture)
-        value = chart_extreme([chart], lambda r: sign * (r * r - 0.25) ** 2, 64, 1, maximize)
+        value, _ = chart_extreme(grids, lambda r: sign * (r * r - 0.25) ** 2, 1, maximize)
         # the node nearest -1/2 is polished, not its mirror at 1/2
         assert len(starts) == 1 and starts[0].shape == (1,)
         assert starts[0][0] < 0.0 and abs(starts[0][0] + 0.5) < spacing
         assert abs(value) <= 1e-15
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_ball_radius_is_never_worse_than_its_best_node(self, maximize):
+        # on the unit circle a node's rounded norm can beat the polish of its
+        # bracket: the node is kept then
+        d = ball((0.0, 0.0), 1.0)
+        grids = chart_grids(d.boundary_param, 4096)
+
+        def radius(q):
+            return np.linalg.norm(q, axis=-1)
+
+        r = radius(grids[0][2])
+        got, point = chart_extreme(grids, radius, 4, maximize)
+        assert got >= r.max() if maximize else got <= r.min()
+        assert radius(point) == got
+
+    @settings(max_examples=80)
+    @given(st.sampled_from([True, False]), st.sampled_from([1, 4]),
+           st.integers(8, 64), st.floats(1.0, 300.0), st.floats(1.0, 300.0),
+           st.floats(-2.0, 2.0))
+    def test_never_worse_than_the_best_node(self, maximize, k, m, a, b, c):
+        # an objective that oscillates within a few node spacings, so a
+        # polish can settle on a local extremum worse than its node
+        charts = [Chart(lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1), 0.0, 2.0 * math.pi),
+                  Chart(lambda t: np.stack([t, c * t * t], axis=-1), -1.0, 1.0)]
+
+        def g(q):
+            return np.sin(a * q[..., 0]) + np.cos(b * q[..., 1] + c)
+
+        grids = chart_grids(charts, m)
+        nodes = np.concatenate([g(pts) for _, _, pts, _ in grids])
+        got, point = chart_extreme(grids, g, k, maximize)
+        assert got >= nodes.max() if maximize else got <= nodes.min()
+        assert point.shape == (2,)
+        assert g(point) == pytest.approx(got, rel=0.0, abs=1e-12)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -245,7 +283,8 @@ def polish_bracket(fn, lo, hi, maximize=True, xtol=POLISH_XTOL):
     assert np.array_equal(np.minimum(hi, t0 + 2.0 * spacing), hi)
     parts = [(Chart(lambda r: r, lo[k], hi[k]), t0[k:k + 1], spacing[k])
              for k in range(lo.size)]
-    return polish(fn, parts, maximize, xtol=xtol)
+    t, _, v = polish(fn, parts, maximize, xtol=xtol)
+    return t, v
 
 
 # smooth functions with one maximum at a, each broadcasting over any leading axis
@@ -340,8 +379,23 @@ class TestPolish:
         got = polish(g, parts, maximize=True)
         assert set(shapes[:-1]) == {(2, 6, 2)} and shapes[-1] == (6, 2)
         want = [polish(g, [p], maximize=True) for p in parts]
-        _assert_same_bits(got, (np.concatenate([w[0] for w in want]),
-                                np.concatenate([w[1] for w in want])))
+        for got_k, want_k in zip(got, zip(*want)):
+            np.testing.assert_array_equal(got_k, np.concatenate(want_k))
+
+    @pytest.mark.parametrize("make", [lambda: ellipsoid(0.1), lambda: bump_domain(1e-3, 2.0),
+                                      lambda: erode(ellipsoid(0.1), 0.5)],
+                             ids=["ellipsoid-0.1", "bump-1e-3", "eroded-ellipsoid-0.1"])
+    @pytest.mark.parametrize("xtol", [0.0, POLISH_XTOL], ids=["fixed-point", "frozen"])
+    def test_returned_points_are_the_charts_at_the_returned_t(self, make, xtol):
+        # the points of the final call: each chart's own map of its midpoints
+        d = make()
+        grids = chart_grids(d.boundary_param, 64)
+        parts = [(ch, t[::9], spacing) for ch, t, _, spacing in grids]
+        t, pts, v = polish(lambda q: q @ np.array([0.6, -0.8]), parts, True, xtol=xtol)
+        split = np.cumsum([t0.size for _, t0, _ in parts])[:-1]
+        for (ch, _, _), tk, pk in zip(parts, np.split(t, split), np.split(pts, split)):
+            np.testing.assert_array_equal(pk, ch.fn(tk))
+        np.testing.assert_array_equal(v, pts @ np.array([0.6, -0.8]))
 
     @settings(max_examples=60)
     @given(_peak, _center, _bracket, _xtol)
@@ -390,7 +444,6 @@ def objective_calls(monkeypatch):
         return polish(g_counted, parts, maximize, **kw)
 
     monkeypatch.setattr(domains, "polish", counted)
-    monkeypatch.setattr(movingplanes, "polish", counted)
     return calls
 
 
@@ -644,10 +697,10 @@ class TestBumpFamily:
 
         want = np.full(len(qs), np.inf)
         for ch in d.boundary_param:
-            t, nodes, spacing = chart_nodes(ch, 2048)
-            _, dist = polish(lambda q: np.linalg.norm(q - qs, axis=-1),
-                             [(ch, t[cKDTree(nodes).query(qs)[1]], spacing)],
-                             maximize=False)
+            (_, t, nodes, spacing), = chart_grids([ch], 2048)
+            _, _, dist = polish(lambda q: np.linalg.norm(q - qs, axis=-1),
+                                [(ch, t[cKDTree(nodes).query(qs)[1]], spacing)],
+                                maximize=False)
             want = np.minimum(want, dist)
         assert tau[20:].max() <= d.boundary_param[1].hi < tau[:20].min()  # the graph's end
         np.testing.assert_array_equal(boundary_distance(d, qs), want)
@@ -662,14 +715,14 @@ class TestBumpFamily:
 
         d = bump_domain(1e-3, alpha)
         for a in d.boundary_param:
-            pts = chart_nodes(a, 2048)[1]
+            (_, _, pts, _), = chart_grids([a], 2048)
             for b in d.boundary_param:
                 if b is a:
                     continue
-                t, nodes, spacing = chart_nodes(b, 2048)
-                _, dist = polish(lambda q: np.linalg.norm(q - pts, axis=-1),
-                                 [(b, t[cKDTree(nodes).query(pts)[1]], spacing)],
-                                 maximize=False)
+                (_, t, nodes, spacing), = chart_grids([b], 2048)
+                _, _, dist = polish(lambda q: np.linalg.norm(q - pts, axis=-1),
+                                    [(b, t[cKDTree(nodes).query(pts)[1]], spacing)],
+                                    maximize=False)
                 assert dist.min() > 1e-9
         # up to the rounding of the arc's parameter (its float spacing near
         # 4 pi is 1.8e-15)

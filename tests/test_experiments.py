@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from fracshape.experiments import (LEMMA_FIELDS, PROBE_FIELDS, SCAN_FIELDS,
-                                   config_hash, counterexample_scan,
-                                   exponent_fit, geometric_lemma_check,
-                                   stability_probe, write_table)
+from fracshape.experiments import (config_hash, counterexample_scan, exponent_fit,
+                                   geometric_lemma_check, stability_probe, write_table)
 from fracshape.seminorm import OptimBudget
 from fracshape.specfun import FracParams, ParameterDomainError
 
 P = FracParams(2, 0.5)
+
+# each table's columns in the order README's CSV schemas list them; a table
+# writes the keys of its first row, in their order
+PROBE_COLUMNS = ("eps", "rho_shape", "seminorm", "flag")
+SCAN_COLUMNS = ("eps", "lam", "slab", "slab_err", "case", "flag")
+LEMMA_COLUMNS = ("eps", "gamma", "lam", "gap", "slab", "slab_err",
+                 "ratio_thm52", "ratio_lem53", "ratio_linear", "flag")
 
 
 class TestExponentFit:
@@ -93,6 +98,7 @@ class TestCounterexampleScan:
         res = counterexample_scan(2.0, [1e-3, 3e-4, 1e-4], 0.2,
                                   tol=1e-8, n_slab=50_000)
         for row in res.rows:
+            assert tuple(row) == SCAN_COLUMNS
             assert row["case"] == "internal-tangency"
             assert row["flag"] == ""
             assert row["lam"] >= math.sqrt(row["eps"])
@@ -131,7 +137,7 @@ class TestLemmaCheck:
                                     tol=1e-8, n_slab=50_000)
         assert len(res.rows) == 2
         first, last = res.rows[0], res.rows[-1]
-        assert set(first) == set(LEMMA_FIELDS)
+        assert tuple(first) == LEMMA_COLUMNS
         # the lemma-form ratios stay within a tight band while the naive
         # normalization grows by roughly sqrt(10) per decade of eps
         assert last["ratio_thm52"] == pytest.approx(first["ratio_thm52"], rel=0.1)
@@ -164,11 +170,11 @@ class TestArtifacts:
         rows = [{"eps": 1e-3, "lam": 0.04245, "slab": 0.011, "slab_err": 1e-5,
                  "case": "internal-tangency", "flag": ""}]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_table(a, rows, SCAN_FIELDS)
-        write_table(b, rows, SCAN_FIELDS)
+        write_table(a, rows)
+        write_table(b, rows)
         assert a.read_bytes() == b.read_bytes()
         text = a.read_text()
-        assert text.splitlines()[0] == ",".join(SCAN_FIELDS)
+        assert text.splitlines()[0] == ",".join(SCAN_COLUMNS)
         assert "0.001" in text
 
     def test_hash_depends_on_content_not_key_order(self):
@@ -178,4 +184,4 @@ class TestArtifacts:
 
     def test_probe_fieldnames_cover_rows(self):
         probe = stability_probe(P, [0.01], budget=OptimBudget(n_pairs=5_000))
-        assert set(probe.rows[0]) == set(PROBE_FIELDS)
+        assert tuple(probe.rows[0]) == PROBE_COLUMNS

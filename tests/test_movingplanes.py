@@ -7,14 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracshape.domains import ball, bump_domain, ellipsoid
+from fracshape.domains import ball, bump_domain, chart_grids, ellipsoid
 from fracshape.movingplanes import (_VIOLATION_EPS, TAG_ORTHOGONAL, TAG_TANGENCY,
-                                    TAG_UNRESOLVED, _chart_grids, critical_lambda,
-                                    reflect, support_value, to_record, violation)
+                                    TAG_UNRESOLVED, critical_lambda, reflect,
+                                    support_value, to_record, violation)
 from fracshape.specfun import ParameterDomainError
 
 
 finite = st.floats(min_value=-5, max_value=5)
+
+
+def scan_grids(d, seed):
+    """The node grids ``critical_lambda`` scans at ``seed``: 8192 nodes in
+    all, their phase shifted by the seed."""
+    return chart_grids(d.boundary_param, max(64, 8192 // len(d.boundary_param)),
+                       (0.5 + seed * 0.6180339887498949) % 1.0)
 
 
 def refined_scan(d, e, tol, seed=0):
@@ -22,7 +29,7 @@ def refined_scan(d, e, tol, seed=0):
     with a refined ``violation`` call at every step of the downward scan."""
     e = np.asarray(e, dtype=float) / float(np.linalg.norm(e))
     lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
-    grids = _chart_grids(d, seed)
+    grids = scan_grids(d, seed)
 
     def violated(mu):
         return violation(d, grids, mu, e, refine=True)[0] > _VIOLATION_EPS
@@ -242,7 +249,7 @@ class TestCriticalPlane:
         d = make()
         e = np.asarray(e) / np.linalg.norm(e)
         lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
-        grids = _chart_grids(d, 0)
+        grids = scan_grids(d, 0)
         step = (lam_top - lam_bot) / 400.0
         mu = lam_top - step
         while mu > lam_bot - 0.5 * step:
