@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@cache  # built at the first main call, not at import; parse_args keeps no state
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fracshape", description=__doc__)
     sub = parser.add_subparsers(dest="command")

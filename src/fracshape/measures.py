@@ -18,6 +18,7 @@ deviation box.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,29 @@ class MeasureEstimate:
     n_samples: int
 
 
+def _half_words(seed: int):
+    """PCG64(seed)'s raw 64-bit words, each split into 32-bit halves, low
+    half first (the order of numpy's ``next_uint32``).  A draw reads about
+    132 halves, so one block of 72 words nearly always serves it."""
+    gen = np.random.PCG64(seed)
+    while True:
+        yield from gen.random_raw(72).astype("<u8").view("<u4").tolist()
+
+
+def _shuffle(b: int, halves) -> list:
+    """Fisher-Yates shuffle of 0..b-1: for i = b-1 .. 1, swap i with j, a
+    half masked to the bits of i and redrawn while it exceeds i (numpy's
+    ``random_interval``)."""
+    perm = list(range(b))
+    for i in range(b - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next(halves) & mask
+        while j > i:
+            j = next(halves) & mask
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def halton_points(n: int, seed: int) -> np.ndarray:
     """First ``n`` scrambled Halton points in [0,1)^2 for this seed.
 
@@ -48,10 +72,15 @@ def halton_points(n: int, seed: int) -> np.ndarray:
     in R", arXiv:1706.02808, 2017): coordinate i is the radical inverse in
     the i-th prime base b (2, then 3), each digit j mapped through its own
     random permutation of 0..b-1, for every j with 1 - b^-(j+1) < 1.  The
-    permutations are shuffles of ``arange(b)`` by one
-    ``np.random.default_rng(seed)``, base by base and digit by digit, and
-    the digit terms are summed in digit order, so the points are SciPy's
-    scrambled Halton points for this seed, bit for bit.
+    permutations are Fisher-Yates shuffles of 0..b-1 (``_shuffle``), base
+    by base and digit by digit, on the half-words of one
+    ``np.random.PCG64(seed)`` stream, so the bytes rest only on
+    ``SeedSequence`` and PCG64's raw output.  That is what
+    ``np.random.default_rng(seed).shuffle(np.arange(b))`` draws, and the
+    digit terms are summed in digit order, so the points are SciPy's
+    scrambled Halton points for this seed, bit for bit.  A base-2 shuffle
+    takes one half-word and never redraws: it swaps 1 with 0 when the
+    half-word is even.
 
     A column is built a digit at a time: index h b^j + l, for l < b^j,
     sums the terms of l and then digit j's term for h, so digit j is one
@@ -60,19 +89,22 @@ def halton_points(n: int, seed: int) -> np.ndarray:
 
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
-    rng = np.random.default_rng(seed)
+    halves = _half_words(seed)
     out = np.empty((n, 2))
     for col, b in enumerate((2, 3)):
+        digits = math.ceil(54 / math.log2(b)) - 1
+        if b == 2:
+            perms = [(0, 1) if h & 1 else (1, 0) for h in itertools.islice(halves, digits)]
+        else:
+            perms = [_shuffle(b, halves) for _ in range(digits)]
         acc = np.zeros(1)  # the sums of the indices below b^j
         b2r = 1.0 / b
-        for _ in range(math.ceil(54 / math.log2(b)) - 1):
-            perm = np.arange(b)
-            rng.shuffle(perm)
-            term = perm * b2r
+        for perm in perms:
             if acc.size < n:
-                acc = (term[:min(b, -(-n // acc.size)), None] + acc).ravel()
-            elif term[0]:  # adding +0.0 to a sum >= 0 keeps its bits
-                acc += term[0]
+                term = np.array(perm[:min(b, -(-n // acc.size))]) * b2r
+                acc = (term[:, None] + acc).ravel()
+            elif perm[0]:  # adding +0.0 to a sum >= 0 keeps its bits
+                acc += perm[0] * b2r
             b2r /= b
         out[:, col] = acc[:n]
     return out
@@ -164,7 +196,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
     e, lam = np.asarray(res.e, dtype=float), float(res.lam)
 
     def in_band(pts):
-        return np.abs(np.sum(pts * e, axis=-1) - lam) <= gamma
+        return np.abs(pts[:, 0] * e[0] + pts[:, 1] * e[1] - lam) <= gamma
 
     dev = d.disk_deviation
     if dev is not None:
@@ -182,8 +214,8 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
 
         def correction(pts):
             mirrored = reflect(pts, lam, e)
-            in_disk = np.linalg.norm(pts, axis=-1) < dev.radius
-            in_disk_r = np.linalg.norm(mirrored, axis=-1) < dev.radius
+            in_disk = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2) < dev.radius
+            in_disk_r = np.sqrt(mirrored[:, 0] ** 2 + mirrored[:, 1] ** 2) < dev.radius
             f = (d.contains(pts) ^ d.contains(mirrored)).astype(float)
             g = (in_disk ^ in_disk_r).astype(float)
             return in_band(pts) * (f - g)

@@ -57,8 +57,14 @@ def reflect(x, mu: float, e) -> np.ndarray:
     """Mirror image of ``x`` across the plane {x.e = mu} (vectorized)."""
     x = np.asarray(x, dtype=float)
     e = np.asarray(e, dtype=float)
-    side = np.sum(x * e, axis=-1) - mu
-    return x - 2.0 * side[..., None] * e
+    # the + 0.0 makes a -0.0 dot product read +0.0, as np.sum over the pair
+    # gives it, so a signed zero reflects to the same bits either way
+    side = (x[..., 0] * e[0] + (x[..., 1] * e[1] + 0.0)) - mu
+    twice = 2.0 * side
+    out = np.empty_like(x)
+    out[..., 0] = x[..., 0] - twice * e[0]
+    out[..., 1] = x[..., 1] - twice * e[1]
+    return out
 
 
 def support_value(d: ImplicitDomain, e, xtol: float = POLISH_XTOL) -> float:

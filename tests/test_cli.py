@@ -167,6 +167,22 @@ class TestErrors:
         assert json.loads(err) == {"error": error, "command": argv[0]}
 
 
+    def test_cached_parser_keeps_no_state_between_calls(self, capsys):
+        # main builds its parser once per process; each call must read as
+        # from a fresh process, also right after a rejected argv
+        rejected, bad_value, valid = (("constants", "--bogus", "1"), ("constants", "--s", "1.5"),
+                                      ("constants", "--s", "0.5"))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        fresh = {}
+        for argv in (rejected, bad_value, valid):
+            done = subprocess.run([sys.executable, "-m", "fracshape.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            fresh[argv] = (done.returncode, done.stdout, done.stderr)
+        for argv in (rejected, valid, bad_value, rejected, valid):
+            assert run(capsys, *argv) == fresh[argv]
+        assert cli._build_parser() is cli._build_parser()
+
     def test_closed_stdout_exits_one_without_payload(self, tmp_path):
         # as under `| head`: a reader that leaves is not bad input
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -367,6 +383,15 @@ import fracshape
 print("scipy.spatial" in sys.modules, "scipy.special" in sys.modules)
 """
         assert _run_python(script) == "False False"
+
+    def test_import_builds_no_parser(self):
+        # the parser is built at the first main call, so importing the CLI
+        # costs no more than it did before the parser was cached
+        script = """
+from fracshape import cli
+print(cli._build_parser.cache_info().currsize)
+"""
+        assert _run_python(script) == "0"
 
     def test_sampling_commands_never_import_scipy_stats(self, tmp_path):
         # scipy.stats costs more at a cold start than all of fracshape

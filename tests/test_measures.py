@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 from fracshape import measures
@@ -78,6 +80,55 @@ class TestHalton:
             assert got.shape == want.shape == (n, 2)
             assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64 - 1),
+           st.sampled_from([0, 1, 2, 3, 16, 307, 4097]))
+    @example(0, 307)
+    @example(2**64 - 1, 4097)
+    @example(178, 16)  # redraws often enough to need a second block of raw words
+    def test_matches_the_generator_shuffle_draw(self, seed, n):
+        assert halton_points(n, seed).tobytes() == _generator_shuffle_halton(n, seed).tobytes()
+
+    # float.hex of (x1, x2) at indices 0, 1 and 306: a numpy whose PCG64 or
+    # SeedSequence output changed would move them
+    PINNED = {
+        0: ("0x1.9600b82ecb948p-4", "0x1.b9a95a7ee723ap-5",
+            "0x1.32c01705d9729p-1", "0x1.70efeafd43c79p-1",
+            "0x1.57802e0bb2e52p-2", "0x1.82d8590ec04fcp-8"),
+        7: ("0x1.a2c8da8460058p-4", "0x1.de90c970b89a3p-1",
+            "0x1.34591b508c00bp-1", "0x1.1276e836c689bp-2",
+            "0x1.5ab236a118016p-2", "0x1.f941127b9b74ap-1"),
+        2**64 - 1: ("0x1.23ce156f32db0p-2", "0x1.fd36ea7ee56bcp-1",
+                    "0x1.91e70ab7996d8p-1", "0x1.4fc32a53202cdp-2",
+                    "0x1.1ce156f32db00p-6", "0x1.c9f1bc7e319fbp-1"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_points(self, seed):
+        pts = halton_points(307, seed)[[0, 1, 306]]
+        assert tuple(float(v).hex() for v in pts.ravel()) == self.PINNED[seed]
+
+
+def _generator_shuffle_halton(n, seed):
+    """The scrambled Halton draw with its digit permutations from numpy's
+    ``Generator.shuffle``, as SciPy and ``halton_points`` once took them."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, 2))
+    for col, b in enumerate((2, 3)):
+        acc = np.zeros(1)
+        b2r = 1.0 / b
+        for _ in range(math.ceil(54 / math.log2(b)) - 1):
+            perm = np.arange(b)
+            rng.shuffle(perm)
+            term = perm * b2r
+            if acc.size < n:
+                acc = (term[:min(b, -(-n // acc.size)), None] + acc).ravel()
+            elif term[0]:
+                acc += term[0]
+            b2r /= b
+        out[:, col] = acc[:n]
+    return out
+
 
 class TestSymmetricDifference:
 
@@ -135,6 +186,17 @@ class TestSlabMeasure:
         est = slab_measure(bump_domain(1e-3, 2.0), plane_at(0.03), 0.2, 5000, seed=1)
         assert est.method == "monte-carlo" and sizes.count(5000) == 1
 
+    @pytest.mark.parametrize("eps, alpha", [(1e-3, 2.0), (1e-2, 1.5)])
+    @pytest.mark.parametrize("e", [(1.0, 0.0), (0.6, -0.8)])
+    def test_correction_keeps_the_last_axis_bits(self, eps, alpha, e):
+        d = bump_domain(eps, alpha)
+        res = critical_lambda(d, np.array(e), tol=1e-6)
+        for gamma in (0.2, 0.01):
+            new = slab_measure(d, res, gamma, 20_000, seed=2)
+            old = _last_axis_slab_measure(d, res, gamma, 20_000, seed=2)
+            assert new.method == "monte-carlo"
+            assert (new.value.hex(), new.error.hex()) == (old.value.hex(), old.error.hex())
+
     def test_thin_band_estimate_is_never_negative(self):
         # at n = 807 the signed correction outweighs the closed-form disk part
         # (the sum read -6.4e-7 +- 9.5e-6); the 200,000-point estimate is
@@ -153,6 +215,28 @@ class TestSlabMeasure:
             with pytest.raises(ParameterDomainError, match="band half-width restricted"):
                 slab_measure(d, res, g, 1000)
 
+
+def _last_axis_slab_measure(d, res, gamma, n, seed):
+    """slab_measure's deviation-box branch with its dot products, reflection
+    and disk tests taken over the last axis (``np.sum`` and
+    ``np.linalg.norm``), as it once was."""
+    e, lam = np.asarray(res.e, dtype=float), float(res.lam)
+    dev = d.disk_deviation
+    base = measures._disk_slab_closed_form(gamma, lam, dev.radius)
+    err_geom = abs(measures._disk_slab_closed_form(gamma, abs(lam) + res.tol, dev.radius)
+                   - measures._disk_slab_closed_form(gamma, max(abs(lam) - res.tol, 0.0),
+                                                     dev.radius))
+    region = measures._mirror_hull(dev.box, lam, e)
+    pts = measures._draw(region, n, seed)
+    mirrored = pts - 2.0 * (np.sum(pts * e, axis=-1) - lam)[..., None] * e
+    in_band = np.abs(np.sum(pts * e, axis=-1) - lam) <= gamma
+    f = (d.contains(pts) ^ d.contains(mirrored)).astype(float)
+    g = ((np.linalg.norm(pts, axis=-1) < dev.radius)
+         ^ (np.linalg.norm(mirrored, axis=-1) < dev.radius)).astype(float)
+    mean, bar = measures._mean_3sigma(in_band * (f - g))
+    area = measures._box_volume(region)
+    return MeasureEstimate(value=max(base + area * mean, 0.0), error=area * bar + err_geom,
+                           method="monte-carlo", n_samples=n)
 
 BWI_DOMAINS = {
     "bump:1e-3": lambda: bump_domain(1e-3, 2.0),

@@ -4,7 +4,8 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from fracshape.domains import ball, bump_domain, chart_grids, ellipsoid
@@ -74,6 +75,15 @@ class TestReflect:
         e = np.array([math.cos(angle), math.sin(angle)])
         x = np.array([x1, x2])
         assert reflect(reflect(x, mu, e), mu, e) == pytest.approx(x, abs=1e-9)
+
+    @given(st.sampled_from([(2,), (5, 2), (3, 4, 2)]).flatmap(
+               lambda shape: hnp.arrays(float, shape, elements=finite)),
+           finite, st.floats(min_value=0.0, max_value=2 * math.pi))
+    @example(np.array([-0.0, -1.0]), 0.0, 0.0)  # np.sum gives +0.0 for -0.0 + -0.0
+    def test_keeps_the_last_axis_bits(self, x, mu, angle):
+        e = np.array([math.cos(angle), math.sin(angle)])
+        old = x - 2.0 * (np.sum(x * e, axis=-1) - mu)[..., None] * e
+        assert reflect(x, mu, e).tobytes() == old.tobytes()
 
     @given(finite, finite, finite)
     def test_preserves_distance_to_plane(self, x1, x2, mu):
