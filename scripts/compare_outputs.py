@@ -21,8 +21,9 @@ root of the ellipse distance's foot equation sits closest to its pole, and
 three planes: two oblique ones whose refined excess near the critical offset
 is flat at the violation threshold, and one on the largest accepted ball.
 Last come a plane and a boundary integral on ``bump:1e-3:1.5``, whose
-bump support starts right of x = 0, and a plane on ``bump:1e-3:4``, an
-aspect exponent above 2, where the support is cut at x = 0.  New commands
+bump support starts right of x = 0, a plane on ``bump:1e-3:4``, an
+aspect exponent above 2, where the support is cut at x = 0, and README's
+artifact command ``lemma-check --tol 1e-9 --n 400000``.  New commands
 are appended, so the numbered directories of the earlier ones keep their
 names.
 
@@ -83,6 +84,7 @@ EDGE = [[cmd, "--domain", dom, "--e", e]
     ["critical-plane", "--domain", "bump:1e-3:1.5", "--tol", "1e-8"],
     ["boundary-integral", "--domain", "bump:1e-3:1.5", "--n", "4000"],
     ["critical-plane", "--domain", "bump:1e-3:4", "--tol", "1e-8"],
+    ["lemma-check", "--tol", "1e-9", "--n", "400000"],
 ]
 
 

@@ -13,9 +13,9 @@ polishes the brackets of all charts in one loop.  ``chart_extreme`` is that
 primitive for an extremum of a function of the boundary point, and serves
 support values, radial extremes, the moving-plane excess and the coincidence
 sup; no domain carries a closed form for them.  Each bracket freezes once
-its relative width is ``POLISH_XTOL`` (sqrt of the float epsilon) unless its
-caller asks for the fixed point with ``xtol = 0``; only ``critical_lambda``
-does, for a ``tol`` below 1e-8.
+its relative width is ``POLISH_XTOL`` (sqrt of the float epsilon); ``polish``
+runs to the fixed point with ``xtol = 0``, the tests' reference, which no
+caller in the package asks for.
 """
 
 from __future__ import annotations
@@ -364,12 +364,12 @@ def polish(g, parts, maximize: bool, xtol: float = POLISH_XTOL):
     return (mid, *fn(mid))
 
 
-def chart_extreme(grids, g, k: int, maximize: bool, xtol: float = POLISH_XTOL):
+def chart_extreme(grids, g, k: int, maximize: bool):
     """Extremum of ``g(point)`` over chart grids (``chart_grids``): the ``k``
-    best nodes of each grid, all polished in one call with freeze width
-    ``xtol``.  The nodes are ranked by a stable sort, so of tied nodes the
-    first is taken, and a bracket keeps its node unless its polish is
-    strictly better, so the result is never worse than the best node.
+    best nodes of each grid, all polished in one call.  The nodes are ranked
+    by a stable sort, so of tied nodes the first is taken, and a bracket
+    keeps its node unless its polish is strictly better, so the result is
+    never worse than the best node.
     Returns ``(value, point)``; of tied brackets the first wins."""
     parts, node_pts, node_vals = [], [], []
     for ch, t, pts, spacing in grids:
@@ -378,7 +378,7 @@ def chart_extreme(grids, g, k: int, maximize: bool, xtol: float = POLISH_XTOL):
         parts.append((ch, t[best], spacing))
         node_pts.append(pts[best])
         node_vals.append(v[best])
-    _, pts, vals = polish(g, parts, maximize, xtol=xtol)
+    _, pts, vals = polish(g, parts, maximize)
     node_vals = np.concatenate(node_vals)
     polished = vals > node_vals if maximize else vals < node_vals
     vals = np.where(polished, vals, node_vals)

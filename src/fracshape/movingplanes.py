@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import POLISH_XTOL, ImplicitDomain, ProjectionError, chart_extreme, chart_grids
+from .domains import ImplicitDomain, ProjectionError, chart_extreme, chart_grids
 from .specfun import ParameterDomainError
 
 TAG_TANGENCY = "internal-tangency"
@@ -26,13 +26,6 @@ TAG_UNRESOLVED = "unresolved"
 # Level excess above this counts as a genuine inclusion violation; below
 # it is indistinguishable from projection/rounding residue.
 _VIOLATION_EPS = 1e-12
-
-# The finest tol at which ``critical_lambda`` freezes its polishes at
-# POLISH_XTOL; below it every polish runs to its fixed point.  Frozen
-# support values and verdicts at tol 1e-14 move lambda by up to 3.0e-13 on
-# oblique planes of ellipsoid:0.1, 30 times that tol, and the tag's window
-# of 10 tol is far narrower than a frozen witness's bracket.
-_FREEZE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,18 +60,16 @@ def reflect(x, mu: float, e) -> np.ndarray:
     return out
 
 
-def support_value(d: ImplicitDomain, e, xtol: float = POLISH_XTOL) -> float:
-    """sup of x.e over the domain, read off its boundary charts, polished
-    with freeze width ``xtol``."""
+def support_value(d: ImplicitDomain, e) -> float:
+    """sup of x.e over the domain, read off its boundary charts."""
     e = _unit(e)
     if not d.boundary_param:
         raise ProjectionError("support value needs a boundary parametrization")
     grids = chart_grids(d.boundary_param, 4096)
-    return chart_extreme(grids, lambda q: q @ e, 4, maximize=True, xtol=xtol)[0]
+    return chart_extreme(grids, lambda q: q @ e, 4, maximize=True)[0]
 
 
-def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True,
-              xtol: float = POLISH_XTOL):
+def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True):
     """Worst exterior excess of the reflected cap boundary at offset ``mu``.
 
     Returns ``(excess, reflected_point)``; excess <= 0 means the reflected
@@ -100,7 +91,7 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
         return out
 
     if refine:
-        value, point = chart_extreme(grids, gain, 1, True, xtol)
+        value, point = chart_extreme(grids, gain, 1, True)
     else:
         value, point = -math.inf, None
         for _, _, pts, _ in grids:
@@ -145,16 +136,16 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     top of the domain past the far support, and the raw pass violated
     there on every ball, ellipsoid and bump domain tried.
 
-    One freeze width serves every polish of the call: both support values,
-    every refined verdict and the witness.  For ``tol >= 1e-8`` it is
-    ``POLISH_XTOL``; for a finer ``tol`` it is 0, so each of them runs to
-    its bracket's fixed point.
+    Below a ``tol`` of about 1e-12 rounding sets lambda: near it the
+    refined excess is flat at the violation threshold, and the four
+    symmetric copies of an oblique direction of ``ellipsoid:0.1`` (e, its
+    mirror images in both axes, and -e) spread by up to about 6e-13 at tol
+    1e-14, so a finer ``tol`` buys no accuracy.
     """
     e = _unit(e)
-    xtol = POLISH_XTOL if tol >= _FREEZE_TOL else 0.0
-    lam_top = support_value(d, e, xtol)
+    lam_top = support_value(d, e)
     tol = max(tol, float(np.spacing(abs(lam_top))))
-    lam_bot = -support_value(d, -e, xtol)
+    lam_bot = -support_value(d, -e)
     grids = chart_grids(d.boundary_param, max(64, 8192 // len(d.boundary_param)),
                         (0.5 + seed * 0.6180339887498949) % 1.0)
 
@@ -166,7 +157,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
         mu -= step
 
     def violated(mu, refine=True):
-        return violation(d, grids, mu, e, refine=refine, xtol=xtol)[0] > _VIOLATION_EPS
+        return violation(d, grids, mu, e, refine=refine)[0] > _VIOLATION_EPS
 
     k = next((i for i, mu in enumerate(offsets) if violated(mu, refine=False)), None)
     if k is None:
@@ -188,7 +179,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
             hi_mu = mid
     lam = 0.5 * (lo_mu + hi_mu)
 
-    witness = violation(d, grids, lo_mu, e, xtol=xtol)[1]
+    witness = violation(d, grids, lo_mu, e)[1]
     case = (TAG_ORTHOGONAL if abs(float(witness @ e) - lam) <= 10.0 * tol
             else TAG_TANGENCY)
     return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam, case_tag=case,

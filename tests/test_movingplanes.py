@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import time
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
+from fracshape import domains
 from fracshape.domains import ball, bump_domain, chart_grids, ellipsoid
 from fracshape.movingplanes import (_VIOLATION_EPS, TAG_ORTHOGONAL, TAG_TANGENCY,
                                     TAG_UNRESOLVED, critical_lambda, reflect,
@@ -161,12 +163,12 @@ class TestCriticalPlane:
     # oblique planes whose refined excess near lambda is flat at the
     # violation threshold, so any fresh verdict near lambda is set by rounding
     @pytest.mark.parametrize("make, theta, tol, lam", [
-        (lambda: ellipsoid(0.1), 82.5, 1e-14, 0.024742058927428978),
-        (lambda: ellipsoid(0.1), 187.5, 1e-14, 0.027127512908630344),
-        (lambda: ellipsoid(0.1), 337.5, 1e-14, 0.07313020921809682),
-        (lambda: ellipsoid(0.1), 82.5, 1e-300, 0.024742058927424496),
-        (lambda: ellipsoid(0.1), 187.5, 1e-300, 0.027127512908628235),
-        (lambda: ellipsoid(0.1), 337.5, 1e-300, 0.07313020921809443),
+        (lambda: ellipsoid(0.1), 82.5, 1e-14, 0.02474205892712849),
+        (lambda: ellipsoid(0.1), 187.5, 1e-14, 0.027127512908790397),
+        (lambda: ellipsoid(0.1), 337.5, 1e-14, 0.07313020921802749),
+        (lambda: ellipsoid(0.1), 82.5, 1e-300, 0.024742058927129412),
+        (lambda: ellipsoid(0.1), 187.5, 1e-300, 0.027127512908785636),
+        (lambda: ellipsoid(0.1), 337.5, 1e-300, 0.07313020921802263),
         # the scan misses a spike of excess narrower than a node spacing
         # here, so this lambda is the sampled boundary's, below the curve's
         # 4.3589e-4; it moved with the bump's node grid
@@ -178,8 +180,10 @@ class TestCriticalPlane:
             "bump-127.5-1e-300", "bump-337.5-1e-300", "bump-352.5-1e-300"])
     def test_flat_excess_at_the_threshold_still_tags_the_contact(self, make, theta, tol, lam):
         # the witness comes from the violated bracket end, so the tag is a
-        # contact; lambda is the bisection's and keeps its value (up to the
-        # +-2e-14 over which rounding sets the verdict near it)
+        # contact; lambda is the bisection's and keeps this program's value.
+        # Rounding sets it only to about 6e-13 (the symmetric copies of a
+        # direction spread that far, test_symmetric_copies_agree), so a
+        # change to the arithmetic near lambda re-pins these rows
         t = math.radians(theta)
         res = critical_lambda(make(), np.array([math.cos(t), math.sin(t)]), tol=tol)
         assert res.case_tag in (TAG_TANGENCY, TAG_ORTHOGONAL)
@@ -195,13 +199,24 @@ class TestCriticalPlane:
         es = [np.array([math.cos(t), math.sin(t)])
               for t in np.radians((np.arange(24) + 0.5) * 15.0)]
         frozen = [critical_lambda(d, e, tol=1e-8) for e in es]
-        monkeypatch.setattr("fracshape.movingplanes._FREEZE_TOL", math.inf)
+        monkeypatch.setattr(domains, "polish", functools.partial(domains.polish, xtol=0.0))
         for e, got in zip(es, frozen):
             want = critical_lambda(d, e, tol=1e-8)
             assert got.case_tag == want.case_tag, e
             ulp = np.spacing(abs(want.Lambda))
             assert abs(got.lam - want.lam) <= 4.0 * ulp, e
             assert abs(got.Lambda - want.Lambda) <= 4.0 * ulp, e
+
+    @pytest.mark.parametrize("theta", (np.arange(6) + 0.5) * 15.0)
+    def test_symmetric_copies_agree(self, theta):
+        # the ellipse is symmetric in both axes, so e, its mirror images and
+        # -e have one critical offset; at tol 1e-14 rounding spreads the
+        # scan's four lambdas by up to about 6e-13, and no value is pinned
+        d, t = ellipsoid(0.1), math.radians(theta)
+        c, s = math.cos(t), math.sin(t)
+        lams = [critical_lambda(d, np.array(e), tol=1e-14).lam
+                for e in ((c, s), (c, -s), (-c, s), (-c, -s))]
+        assert max(lams) - min(lams) <= 1e-12, lams
 
     @pytest.mark.parametrize("make, e, tol", [
         (lambda: ball((0.0, 0.0), 1.0), (1.0, 0.0), 1e-6),
