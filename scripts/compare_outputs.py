@@ -22,10 +22,12 @@ three planes: two oblique ones whose refined excess near the critical offset
 is flat at the violation threshold, and one on the largest accepted ball.
 Last come a plane and a boundary integral on ``bump:1e-3:1.5``, whose
 bump support starts right of x = 0, a plane on ``bump:1e-3:4``, an
-aspect exponent above 2, where the support is cut at x = 0, and README's
-artifact command ``lemma-check --tol 1e-9 --n 400000``.  New commands
-are appended, so the numbered directories of the earlier ones keep their
-names.
+aspect exponent above 2, where the support is cut at x = 0, README's
+artifact command ``lemma-check --tol 1e-9 --n 400000``, and two boundary
+integrals below the closed-form cut-off: ``ball:1.0000000000001``, which
+sticks out of the unit disk by 1e-13, and ``ball:1``, which does not.  New
+commands are appended, so the numbered directories of the earlier ones keep
+their names.
 
 ``diff`` prints every JSON leaf and CSV cell that differs, with its old and
 new value and, for two floats, their distance in ulps; a file on one side
@@ -85,6 +87,8 @@ EDGE = [[cmd, "--domain", dom, "--e", e]
     ["boundary-integral", "--domain", "bump:1e-3:1.5", "--n", "4000"],
     ["critical-plane", "--domain", "bump:1e-3:4", "--tol", "1e-8"],
     ["lemma-check", "--tol", "1e-9", "--n", "400000"],
+    ["boundary-integral", "--domain", "ball:1.0000000000001"],
+    ["boundary-integral", "--domain", "ball:1"],
 ]
 
 

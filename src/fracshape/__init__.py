@@ -17,7 +17,7 @@ from .measures import (MeasureEstimate, boundary_weighted_integral,
 from .seminorm import (OptimBudget, SeminormResult, ellipsoid_chart,
                        ellipsoid_ratio_limit, ellipsoid_seminorm,
                        phi0_quotient_sup, richardson_limit)
-from .experiments import (FitResult, LemmaResult, ProbeResult, ScanResult,
+from .experiments import (FitResult, ProbeResult, ScanResult,
                           config_hash, counterexample_scan, exponent_fit,
                           geometric_lemma_check, stability_probe, write_table)
 

@@ -346,13 +346,13 @@ def _cmd_stability_probe(cfg, s, eps, n_pairs):
           gamma=("0.2", partial(_as_list, item=_GAMMA)), tol=("1e-8", _TOL),
           n=("200000", _N))
 def _cmd_lemma_check(cfg, alpha, eps, gamma, tol, n):
-    table = geometric_lemma_check(alpha, eps, gamma, tol=tol, n_slab=n, seed=cfg.seed)
-    clean = [r for r in table.rows if not r["flag"]]
-    results = {"rows": len(table.rows), "flagged": len(table.rows) - len(clean)}
+    rows = geometric_lemma_check(alpha, eps, gamma, tol=tol, n_slab=n, seed=cfg.seed)
+    clean = [r for r in rows if not r["flag"]]
+    results = {"rows": len(rows), "flagged": len(rows) - len(clean)}
     if clean:
         results["ratio_thm52_band"] = [min(r["ratio_thm52"] for r in clean),
                                        max(r["ratio_thm52"] for r in clean)]
-    return _emit(cfg, results, rows=table.rows)
+    return _emit(cfg, results, rows=rows)
 
 
 def main(argv=None) -> int:

@@ -273,7 +273,7 @@ def bump_domain(eps, alpha) -> ImplicitDomain:
     # the arc and the graph over the support meet end to end: off the
     # support psi is the circle itself
     sup_lo = max(0.0, center - width)
-    sup_hi = min(0.5, center + width)
+    sup_hi = center + width
     charts = (
         Chart(circle_chart, 2.0 * math.pi - math.acos(sup_hi), 4.0 * math.pi - math.acos(sup_lo)),
         Chart(graph_chart, sup_lo, sup_hi),

@@ -177,14 +177,10 @@ def counterexample_scan(alpha: float, eps_grid, gamma: float, tol: float = 1e-8,
 # slab-measure sharpness table
 
 
-@dataclass(frozen=True)
-class LemmaResult:
-    rows: tuple
-
-
 def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
-                          n_slab: int = 200_000, seed: int = 0) -> LemmaResult:
-    """Slab measure against three candidate denominators on the bump family.
+                          n_slab: int = 200_000, seed: int = 0) -> tuple:
+    """Slab measure against three candidate denominators on the bump family,
+    one row dict per (eps, gamma) pair, eps outer.
 
     ``gap`` is the annulus width rho_e - rho_i about the construction's
     center (the origin), the sandwich the sharpness statements are phrased
@@ -218,4 +214,4 @@ def geometric_lemma_check(alpha: float, eps_grid, gamma_grid, tol: float = 1e-8,
                 row.update(ratio_thm52=est.value / dens[0], ratio_lem53=est.value / dens[1],
                            ratio_linear=est.value / dens[2], flag=_row_flags(res, tol))
             rows.append(row)
-    return LemmaResult(rows=tuple(rows))
+    return tuple(rows)

@@ -255,13 +255,20 @@ def boundary_weighted_integral(d: ImplicitDomain, s: float, n: int,
     the domain, so only the shells' points that lie inside go through the
     boundary distance search, all shells together, ``_BLOCK`` at a time;
     every other point contributes 0.
+
+    Nothing is sampled when h = rho_e - 1 <= 1e-12: the value is 0 and the
+    error the integral over the annulus 1 < |x| < rho_e (h padded by 4 ulps
+    of rho_e), 2 h (1+h)^2 pi s / sin(pi s), which bounds any domain inside
+    B(rho_e) since there dist(x, boundary) <= rho_e - |x|; 0 if h <= 0.
     """
     if not 0.0 < s < 1.0:
         raise ParameterDomainError(f"exponent must lie in (0, 1), got {s!r}")
     rho_e = radial_extreme(d, maximize=True)
     h = rho_e - 1.0
     if h <= 1e-12:
-        return MeasureEstimate(value=0.0, error=0.0, method="closed-form",
+        h = h + 4.0 * float(np.spacing(rho_e)) if h > 0.0 else 0.0
+        bar = 2.0 * h * (1.0 + h) ** 2 * math.pi * s / math.sin(math.pi * s)
+        return MeasureEstimate(value=0.0, error=bar, method="closed-form",
                                n_samples=0)
     h *= 1.0 + 1e-9
 

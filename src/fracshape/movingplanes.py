@@ -10,7 +10,6 @@ crossing on the plane itself).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,11 +75,12 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     cap stayed inside on every sample.  The excess of a boundary point is
     the level of its reflection on the cap side and minus its distance to
     the plane off it, which keeps a refined max on the cap side.
-    ``refine=False`` is the cheap scan pass: the worst node of the grids,
-    nothing more.  Refinement is ``chart_extreme`` of each chart's worst
-    node, so it never lowers the excess, and a raw excess above the
-    violation threshold is a refined one too: ``critical_lambda`` refines a
-    verdict only at an offset where the raw pass is clean.
+    ``refine=False`` is the cheap scan pass: it returns ``(excess, None)``,
+    the excess of the worst node of the grids and no point.  Refinement is
+    ``chart_extreme`` of each chart's worst node, so the unrefined excess is
+    never above the refined one, and a raw excess above the violation
+    threshold is a refined one too: ``critical_lambda`` refines a verdict
+    only at an offset where the raw pass is clean.
     """
     def gain(q):
         side = q @ e - mu
@@ -90,15 +90,9 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
             out[cap] = d.level(q[cap] - 2.0 * side[cap][:, None] * e)
         return out
 
-    if refine:
-        value, point = chart_extreme(grids, gain, 1, True)
-    else:
-        value, point = -math.inf, None
-        for _, _, pts, _ in grids:
-            v = gain(pts)
-            i = int(np.argmax(v))
-            if v[i] > value:
-                value, point = float(v[i]), pts[i]
+    if not refine:
+        return max(float(np.max(gain(pts))) for _, _, pts, _ in grids), None
+    value, point = chart_extreme(grids, gain, 1, True)
     return value, point - 2.0 * (point @ e - mu) * e
 
 
@@ -109,11 +103,12 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
 
     The scan steps down from Lambda toward the far support by 1/400 of the
     domain's width along ``e``, and samples the excess on 8192 chart nodes in
-    all, on grids whose phase the seed shifts.  It runs the cheap unrefined ``violation``
-    pass at every offset and refines only where the verdict is decided:
+    all, on grids whose phase the seed shifts.  It runs the cheap unrefined
+    ``violation`` pass, the worst node excess and no point, at every offset
+    and refines only where the verdict is decided:
     from the first offset whose raw excess is positive it steps back up
     with refined calls while the offset above is still violated.  This
-    rests on the refined excess never falling below the raw one
+    rests on the raw excess never rising above the refined one
     (``chart_extreme`` keeps the better of the node and its polish), so the first
     refined violation sits at or above the first raw one; it is missed only
     if a refined-clean offset separates them.  The topmost violated offset

@@ -112,8 +112,8 @@ def test_05_bump_family_exhibits_square_root_rates():
 def test_06_lemma_normalization_separates_the_scalings():
     res = geometric_lemma_check(2.0, [1e-3, 1e-4, 1e-5], [0.2],
                                 tol=1e-9, n_slab=600_000)
-    thm = [r["ratio_thm52"] for r in res.rows]
-    lin = [r["ratio_linear"] for r in res.rows]
+    thm = [r["ratio_thm52"] for r in res]
+    lin = [r["ratio_linear"] for r in res]
     band = max(thm) / min(thm)
     growth = lin[-1] / lin[0]
     ok = band <= 3.0 and growth >= 10.0

@@ -135,8 +135,8 @@ class TestLemmaCheck:
     def test_bounded_and_unbounded_ratio_columns(self):
         res = geometric_lemma_check(2.0, [1e-3, 1e-4], [0.2],
                                     tol=1e-8, n_slab=50_000)
-        assert len(res.rows) == 2
-        first, last = res.rows[0], res.rows[-1]
+        assert len(res) == 2
+        first, last = res[0], res[-1]
         assert tuple(first) == LEMMA_COLUMNS
         # the lemma-form ratios stay within a tight band while the naive
         # normalization grows by roughly sqrt(10) per decade of eps
@@ -147,7 +147,7 @@ class TestLemmaCheck:
     def test_degenerate_gap_rows_are_skipped(self):
         # a bump of height 1e-13 leaves an annulus gap at rounding level
         res = geometric_lemma_check(2.0, [1e-13], [0.2], tol=1e-6, n_slab=10_000)
-        row = res.rows[0]
+        row = res[0]
         assert row["gap"] <= 1e-12
         assert row["flag"] == "skip"
         assert all(math.isnan(row[k])
@@ -156,7 +156,7 @@ class TestLemmaCheck:
     def test_underflowing_denominators_are_skipped(self):
         # gamma * gap underflows to zero at the smallest subnormal gamma
         res = geometric_lemma_check(2.0, [0.03125], [5e-324, 0.125], tol=1e-3, n_slab=100)
-        tiny, wide = res.rows
+        tiny, wide = res
         assert tiny["gap"] > 1e-12 and tiny["gamma"] * tiny["gap"] == 0.0
         assert tiny["flag"] == "skip"
         assert all(math.isnan(tiny[k])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from fracshape import measures
@@ -294,12 +295,27 @@ class TestBoundaryWeightedIntegral:
     # rho_e - 1 at most 1e-12 takes the closed form; the frozen polish of
     # rho_e must keep these there
     @pytest.mark.parametrize("make", [lambda: ball((0.0, 0.0), 1.0),
-                                      lambda: ball((0.0, 0.0), 1e-3), lambda: ellipsoid(0.0)],
-                             ids=["ball:1", "ball:1e-3", "ellipsoid:0"])
+                                      lambda: ball((0.0, 0.0), 1e-3), lambda: ellipsoid(0.0),
+                                      lambda: ball((0.0, 0.0), 0.5),
+                                      lambda: ball((0.0, 0.0), 1.0 - 1e-9)],
+                             ids=["ball:1", "ball:1e-3", "ellipsoid:0", "ball:0.5",
+                                  "ball:1-1e-9"])
     def test_unit_disk_is_exactly_zero(self, make):
         est = boundary_weighted_integral(make(), 0.5, 1000)
         assert est == MeasureEstimate(value=0.0, error=0.0, method="closed-form",
                                       n_samples=0)
+
+    @pytest.mark.parametrize("h", [1e-13, 5e-13])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+    def test_cut_off_bar_covers_the_thin_annulus(self, h, s):
+        # below the cut-off the value is 0 and the error must cover the
+        # exact integral of ball:1+h, 2 int_0^h (1+t)^2 ((h-t)/t)^s dt
+        radius = 1.0 + h
+        h = radius - 1.0  # the excess of the float radius
+        exact = 2.0 * quad(lambda t: (1.0 + t) ** 2, 0.0, h, weight="alg", wvar=(-s, s))[0]
+        est = boundary_weighted_integral(ball((0.0, 0.0), radius), s, 1000)
+        assert (est.value, est.method, est.n_samples) == (0.0, "closed-form", 0)
+        assert exact <= est.error <= 1.05 * exact
 
     def test_grows_with_protrusion(self):
         lo = boundary_weighted_integral(ball((0.0, 0.0), 1.04), 0.5, 50_000, seed=1)

@@ -281,6 +281,29 @@ class TestCriticalPlane:
             assert violation(d, grids, mu, e)[0] >= violation(d, grids, mu, e, refine=False)[0]
             mu -= step
 
+    @pytest.mark.parametrize("make, e", [
+        (lambda: bump_domain(1e-3, 2.0), (1.0, 0.0)),
+        (lambda: ellipsoid(0.1), (1.0, 1.0)),
+    ], ids=["bump-1e-3", "ellipsoid-0.1-e11"])
+    def test_unrefined_pass_is_the_worst_node_excess(self, make, e):
+        # the reflected level on the cap, minus the distance to the plane
+        # off it, maximized over every node of the scan grids; no point
+        d = make()
+        e = np.asarray(e) / np.linalg.norm(e)
+        lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
+        grids = scan_grids(d, 0)
+        nodes = np.concatenate([pts for _, _, pts, _ in grids])
+        step = (lam_top - lam_bot) / 400.0
+        for k in (1, 10, 100, 200, 399):
+            mu = lam_top - k * step
+            side = nodes @ e - mu
+            cap = side > 0.0
+            worst = max(np.max(-np.abs(side[~cap]), initial=-np.inf),
+                        np.max(d.level(reflect(nodes[cap], mu, e)), initial=-np.inf))
+            value, point = violation(d, grids, mu, e, refine=False)
+            assert point is None
+            assert value == pytest.approx(worst, abs=1e-14)
+
     def test_scan_step_follows_the_domain_width(self):
         # Lambda near 0 with the far support at -2: a step of Lambda/200
         # would take 400,000 scan offsets, a step of width/400 takes 200
