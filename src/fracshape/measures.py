@@ -2,10 +2,11 @@
 and the boundary-weighted singular integral.
 
 Sampling is scrambled-Halton, seed-indexed, so every estimate is
-bit-reproducible.  A volume or slab estimate evaluates its integrand f once,
-on the n points of one Halton stream, and reports their mean with the bar
-3 sigma_f / sqrt(n), where sigma_f^2 = Var f(U).  The variance of those
-same n values, mean(f^2) - mean(f)^2, is itself a QMC estimate of
+bit-reproducible.  A volume or slab estimate evaluates its integrand f on
+the n points of one Halton stream, ``_BLOCK`` rows at a time into one
+n-array, and reports their mean with the bar 3 sigma_f / sqrt(n), where
+sigma_f^2 = Var f(U); the blocks move no bit of either.  The variance of
+those same n values, mean(f^2) - mean(f)^2, is itself a QMC estimate of
 sigma_f^2, so no second draw is needed.  The bar is the plain Monte Carlo
 scale, not a calibrated error of the QMC mean.  The boundary-weighted
 integral draws 13 shell streams, shell k at seed ``seed + k``, and
@@ -28,9 +29,10 @@ from .domains import ImplicitDomain, boundary_distance, box_corners, radial_extr
 from .movingplanes import CriticalPlaneResult, reflect
 from .specfun import ParameterDomainError
 
-# Most points the boundary-weighted integral masks, or sends through the
-# distance search, at once: the chart search holds a few arrays of this many
-# points.
+# Most points an integrand takes at once: the volume and slab estimators
+# evaluate theirs on blocks of this many rows of the draw, and the
+# boundary-weighted integral masks, or sends through the distance search,
+# this many points at a time (the chart search holds a few arrays of them).
 _BLOCK = 4096
 
 
@@ -84,8 +86,12 @@ def halton_points(n: int, seed: int) -> np.ndarray:
 
     A column is built a digit at a time: index h b^j + l, for l < b^j,
     sums the terms of l and then digit j's term for h, so digit j is one
-    broadcast add over at most b^(j+1) indices.  Once every index is
-    covered, the remaining digits are 0 and add their constant terms.
+    broadcast add over at most b^(j+1) indices, of which the first n are
+    kept.  Once every index is covered, the remaining digits are 0 and add
+    their constant terms.  In base 2 those are distinct powers of 2, none
+    below 2^-53, and every index sums only larger ones, so each partial sum
+    is exact: they are summed apart and added once, with the bits of adding
+    them one by one.  Base 3 adds them in digit order, since its sums round.
 
     Prefixes agree: the first half of a 2n draw is the n draw.
     """
@@ -99,25 +105,24 @@ def halton_points(n: int, seed: int) -> np.ndarray:
             perms = [_shuffle(b, halves) for _ in range(digits)]
         acc = np.zeros(1)  # the sums of the indices below b^j
         b2r = 1.0 / b
+        tail = 0.0  # base 2: the constant terms past full cover, summed apart
         for perm in perms:
             if acc.size < n:
                 term = np.array(perm[:min(b, -(-n // acc.size))]) * b2r
-                acc = (term[:, None] + acc).ravel()
+                acc = (term[:, None] + acc).ravel()[:n]
+            elif b == 2:
+                tail += perm[0] * b2r
             elif perm[0]:  # adding +0.0 to a sum >= 0 keeps its bits
                 acc += perm[0] * b2r
             b2r /= b
+        if tail:
+            acc += tail
         out[:, col] = acc[:n]
     return out
 
 
 def _box_volume(box: np.ndarray) -> float:
     return float(np.prod(box[1] - box[0]))
-
-
-def _draw(box: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """The first ``n`` scrambled Halton points of this seed, mapped onto the box."""
-    lo, hi = box[0], box[1]
-    return lo + (hi - lo) * halton_points(n, seed)
 
 
 def _mean_3sigma(vals):
@@ -127,13 +132,26 @@ def _mean_3sigma(vals):
     return float(np.mean(vals)), 3.0 * math.sqrt(float(np.var(vals)) / vals.size)
 
 
+def _sample_mean(f, box: np.ndarray, n: int, seed: int):
+    """``_mean_3sigma`` of ``f`` on the first ``n`` scrambled Halton points of
+    this seed, mapped onto the box.  ``f`` takes ``_BLOCK`` rows of the draw
+    at a time, each block mapped on its own, and its values fill one n-array,
+    so the mean and the bar are those of one call on all n points."""
+    lo, hi = box[0], box[1]
+    u = halton_points(n, seed)
+    vals = np.empty(n)
+    for i in range(0, n, _BLOCK):
+        vals[i:i + _BLOCK] = f(lo + (hi - lo) * u[i:i + _BLOCK])
+    return _mean_3sigma(vals)
+
+
 def mc_volume(pred, box, n: int, seed: int = 0) -> MeasureEstimate:
     """Volume of {x in box : pred(x)} by quasi-random hit counting."""
     if n < 1:
         raise ParameterDomainError(f"sample count must be >= 1, got {n!r}")
     box = np.asarray(box, dtype=float)
     vol = _box_volume(box)
-    mean, bar = _mean_3sigma(pred(_draw(box, n, seed)))
+    mean, bar = _sample_mean(pred, box, n, seed)
     return MeasureEstimate(value=vol * mean, error=vol * bar, method="monte-carlo",
                            n_samples=n)
 
@@ -220,7 +238,7 @@ def slab_measure(d: ImplicitDomain, res: CriticalPlaneResult, gamma: float, n: i
             g = (in_disk ^ in_disk_r).astype(float)
             return in_band(pts) * (f - g)
 
-        mean, bar = _mean_3sigma(correction(_draw(region, n, seed)))
+        mean, bar = _sample_mean(correction, region, n, seed)
         area = _box_volume(region)
         # The correction's mean is signed, so when the band measure is within
         # its bar of 0 the sum can dip below it; a measure is >= 0, and 0 with

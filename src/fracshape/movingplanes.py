@@ -26,6 +26,9 @@ TAG_UNRESOLVED = "unresolved"
 # it is indistinguishable from projection/rounding residue.
 _VIOLATION_EPS = 1e-12
 
+# Offsets per raw-excess call of the downward scan.
+_SCAN_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class CriticalPlaneResult:
@@ -68,6 +71,36 @@ def support_value(d: ImplicitDomain, e) -> float:
     return chart_extreme(grids, lambda q: q @ e, 4, maximize=True)[0]
 
 
+def _sorted_nodes(grids, e: np.ndarray):
+    """Every node of the grids and its projection ``p = pts @ e``, sorted by
+    p, largest first, and p closed by -inf, which stands for no node.  Each
+    grid's p is the product ``violation`` takes on that grid, so it has the
+    same bits; which grid a node came from does not matter to a maximum over
+    all nodes."""
+    p = np.concatenate([pts @ e for _, _, pts, _ in grids])
+    order = np.argsort(-p)
+    return (np.concatenate([pts for _, _, pts, _ in grids])[order],
+            np.append(p[order], -np.inf))
+
+
+def _raw_excess(d: ImplicitDomain, nodes, p, mus, e: np.ndarray) -> np.ndarray:
+    """Worst node excess at each offset of ``mus``, on the sorted nodes and
+    projections of ``_sorted_nodes``.
+
+    fl(p - mu) > 0 exactly when p > mu, so the cap at mu is the prefix of the
+    c nodes above it.  Only the prefix of the lowest offset is reflected and
+    levelled, all offsets at once as one (K, c) array; each offset keeps the
+    levels of its own cap.  Off its cap a node's excess is -|p - mu|, worst
+    at the first node past the prefix (-inf when there is none).
+    """
+    mus = np.asarray(mus, dtype=float)
+    caps = np.searchsorted(-p, -mus)  # nodes with p > mu; -p is ascending
+    side = p[:caps.max()] - mus[:, None]
+    level = d.level(nodes[:side.shape[1]] - 2.0 * side[..., None] * e)
+    worst = np.max(np.where(side > 0.0, level, -np.inf), axis=1, initial=-np.inf)
+    return np.maximum(worst, -np.abs(p[caps] - mus))
+
+
 def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool = True):
     """Worst exterior excess of the reflected cap boundary at offset ``mu``.
 
@@ -75,13 +108,18 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
     cap stayed inside on every sample.  The excess of a boundary point is
     the level of its reflection on the cap side and minus its distance to
     the plane off it, which keeps a refined max on the cap side.
-    ``refine=False`` is the cheap scan pass: it returns ``(excess, None)``,
-    the excess of the worst node of the grids and no point.  Refinement is
-    ``chart_extreme`` of each chart's worst node, so the unrefined excess is
-    never above the refined one, and a raw excess above the violation
-    threshold is a refined one too: ``critical_lambda`` refines a verdict
-    only at an offset where the raw pass is clean.
+    ``refine=False`` is the cheap pass: it returns ``(excess, None)``, the
+    excess of the worst node of the grids and no point, by ``_raw_excess``
+    on the sorted nodes.  ``critical_lambda`` sorts once per plane and calls
+    ``_raw_excess`` itself.  Refinement is ``chart_extreme`` of each chart's
+    worst node, so the unrefined excess is never above the refined one, and
+    a raw excess above the violation threshold is a refined one too:
+    ``critical_lambda`` refines a verdict only at an offset where the raw
+    pass is clean.
     """
+    if not refine:
+        return float(_raw_excess(d, *_sorted_nodes(grids, e), [mu], e)[0]), None
+
     def gain(q):
         side = q @ e - mu
         out = -np.abs(side)
@@ -90,8 +128,6 @@ def violation(d: ImplicitDomain, grids, mu: float, e: np.ndarray, refine: bool =
             out[cap] = d.level(q[cap] - 2.0 * side[cap][:, None] * e)
         return out
 
-    if not refine:
-        return max(float(np.max(gain(pts))) for _, _, pts, _ in grids), None
     value, point = chart_extreme(grids, gain, 1, True)
     return value, point - 2.0 * (point @ e - mu) * e
 
@@ -104,25 +140,27 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
     The scan steps down from Lambda toward the far support by 1/400 of the
     domain's width along ``e``, and samples the excess on 8192 chart nodes in
     all, on grids whose phase the seed shifts.  It runs the cheap unrefined
-    ``violation`` pass, the worst node excess and no point, at every offset
-    and refines only where the verdict is decided:
-    from the first offset whose raw excess is positive it steps back up
-    with refined calls while the offset above is still violated.  This
-    rests on the raw excess never rising above the refined one
-    (``chart_extreme`` keeps the better of the node and its polish), so the first
-    refined violation sits at or above the first raw one; it is missed only
-    if a refined-clean offset separates them.  The topmost violated offset
-    and the one above it (or Lambda) bracket the critical value, which
-    bisection then pins to ``tol``.  Each midpoint gets the raw
-    pass first and a refined call only when that pass is clean (a raw
-    violation is a refined one), so every verdict is the refined one and is
-    polished only where the raw pass is clean.  A ``tol`` finer than the
-    float spacing of Lambda is raised to that spacing, and the result
-    reports the raised value.  The witness is the worst reflected point of
-    a refined call at the bracket's lower end, an offset the scan has
-    already found violated, so no fresh verdict can contradict it; a
-    witness within 10 tol of the plane is tagged as the orthogonal-crossing
-    case, otherwise as interior tangency.  A reflection-symmetric domain in
+    pass, the worst node excess and no point, at every offset: the nodes are
+    sorted by their projection on ``e`` once per plane, and ``_raw_excess``
+    takes ``_SCAN_BLOCK`` offsets per call, levelling only the cap prefix,
+    until a block holds a violated offset.  It refines only where the
+    verdict is decided: from the first offset whose raw excess is positive
+    it steps back up with refined calls while the offset above is still
+    violated.  This rests on the raw excess never rising above the refined
+    one (``chart_extreme`` keeps the better of the node and its polish), so
+    the first refined violation sits at or above the first raw one; it is
+    missed only if a refined-clean offset separates them.  The topmost
+    violated offset and the one above it (or Lambda) bracket the critical
+    value, which bisection then pins to ``tol``.  Each midpoint gets the raw
+    pass first, on the same sorted nodes, and a refined call only when that
+    pass is clean (a raw violation is a refined one), so every verdict is
+    the refined one and is polished only where the raw pass is clean.  A
+    ``tol`` finer than the float spacing of Lambda is raised to that
+    spacing, and the result reports the raised value.  The witness is the
+    worst reflected point of a refined call at the bracket's lower end, an
+    offset the scan has already found violated, so no fresh verdict can
+    contradict it; a witness within 10 tol of the plane is tagged as the
+    orthogonal-crossing case, otherwise as interior tangency.  A reflection-symmetric domain in
     its symmetry direction stops at its centre plane up to tol and sampling
     residue (lambda = -3e-7 for the unit disk at tol 1e-6), tagged like any
     contact: the reflected cap pokes out once the plane passes the centre.
@@ -151,10 +189,20 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
         offsets.append(mu)
         mu -= step
 
-    def violated(mu, refine=True):
-        return violation(d, grids, mu, e, refine=refine)[0] > _VIOLATION_EPS
+    nodes, p = _sorted_nodes(grids, e)
 
-    k = next((i for i, mu in enumerate(offsets) if violated(mu, refine=False)), None)
+    def raw_violated(mus):
+        return _raw_excess(d, nodes, p, mus, e) > _VIOLATION_EPS
+
+    def violated(mu):
+        return violation(d, grids, mu, e)[0] > _VIOLATION_EPS
+
+    k = None
+    for i in range(0, len(offsets), _SCAN_BLOCK):
+        hits = np.flatnonzero(raw_violated(offsets[i:i + _SCAN_BLOCK]))
+        if hits.size:
+            k = i + int(hits[0])
+            break
     if k is None:
         return CriticalPlaneResult(e=e, Lambda=lam_top, lam=lam_bot,
                                    case_tag=TAG_UNRESOLVED, witness=None, tol=tol)
@@ -168,7 +216,7 @@ def critical_lambda(d: ImplicitDomain, e, tol: float = 1e-6,
         if not lo_mu < mid < hi_mu:  # the gap is down to float spacing
             break
         # a raw violation is a refined one: polish only a raw-clean midpoint
-        if violated(mid, refine=False) or violated(mid):
+        if raw_violated([mid])[0] or violated(mid):
             lo_mu = mid
         else:
             hi_mu = mid

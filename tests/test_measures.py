@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from fracshape.domains import (ball, boundary_distance, bump_domain, ellipsoid,
 from fracshape.measures import (MeasureEstimate, boundary_weighted_integral,
                                 halton_points, mc_volume, slab_measure,
                                 sym_diff_measure)
-from fracshape.movingplanes import CriticalPlaneResult, critical_lambda
+from fracshape.movingplanes import CriticalPlaneResult, critical_lambda, reflect
 from fracshape.specfun import ParameterDomainError
 
 E1 = np.array([1.0, 0.0])
@@ -50,10 +51,14 @@ class TestMcVolume:
             seen.append(pts.copy())
             return d.contains(pts)
 
+        # the integrand sees each point of one draw once, a block at a time
         n = 5000
         est = mc_volume(pred, d.bbox, n, seed=3)
-        assert len(seen) == 1 and seen[0].shape == (n, 2)
-        vals = d.contains(seen[0]).astype(float)
+        assert [len(pts) for pts in seen] == [measures._BLOCK, n - measures._BLOCK]
+        pts = np.concatenate(seen)
+        draw = d.bbox[0] + (d.bbox[1] - d.bbox[0]) * halton_points(n, 3)
+        assert pts.tobytes() == draw.tobytes()
+        vals = d.contains(pts).astype(float)
         vol = float(np.prod(d.bbox[1] - d.bbox[0]))
         assert est.value == vol * float(np.mean(vals))
         assert est.error == pytest.approx(3.0 * vol * math.sqrt(np.var(vals) / n),
@@ -73,9 +78,10 @@ class TestHalton:
         from scipy.stats import qmc
 
         # at and around 2^8, 3^7 and 2^16, where a column takes one more
-        # digit level
+        # digit level, and at 2^k +- 1, where the base-2 column's constant
+        # tail starts one digit later or earlier
         for n in (0, 1, 2, 255, 256, 257, 1000, 2186, 2187, 2188, 4097, 65535, 65536,
-                  65537):
+                  65537, *(2**k + j for k in range(2, 18) for j in (-1, 1))):
             want = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
             got = halton_points(n, seed)
             assert got.shape == want.shape == (n, 2)
@@ -185,7 +191,9 @@ class TestSlabMeasure:
 
         monkeypatch.setattr(measures, "reflect", counting)
         est = slab_measure(bump_domain(1e-3, 2.0), plane_at(0.03), 0.2, 5000, seed=1)
-        assert est.method == "monte-carlo" and sizes.count(5000) == 1
+        assert est.method == "monte-carlo"
+        # the mirror hull's 4 corners, then each block of the draw once
+        assert sizes == [4, measures._BLOCK, 5000 - measures._BLOCK]
 
     @pytest.mark.parametrize("eps, alpha", [(1e-3, 2.0), (1e-2, 1.5)])
     @pytest.mark.parametrize("e", [(1.0, 0.0), (0.6, -0.8)])
@@ -197,6 +205,34 @@ class TestSlabMeasure:
             old = _last_axis_slab_measure(d, res, gamma, 20_000, seed=2)
             assert new.method == "monte-carlo"
             assert (new.value.hex(), new.error.hex()) == (old.value.hex(), old.error.hex())
+
+    @pytest.mark.parametrize("n", [1, measures._BLOCK - 1, measures._BLOCK,
+                                   measures._BLOCK + 1, 200_000])
+    @pytest.mark.parametrize("e", [(1.0, 0.0), (0.6, -0.8)])
+    def test_blocks_keep_the_unblocked_bits(self, n, e):
+        # the correction on blocks of the draw against one call on all of it
+        d = bump_domain(1e-3, 2.0)
+        res = _bump_plane(e)
+        new = slab_measure(d, res, 0.2, n, seed=3)
+        old = _last_axis_slab_measure(d, res, 0.2, n, seed=3)
+        assert new.method == "monte-carlo"
+        assert (new.value.hex(), new.error.hex()) == (old.value.hex(), old.error.hex())
+
+    @pytest.mark.parametrize("n", [1, measures._BLOCK - 1, measures._BLOCK,
+                                   measures._BLOCK + 1, 200_000])
+    def test_plain_sampling_blocks_keep_the_unblocked_bits(self, n):
+        # a domain with no deviation box samples through mc_volume
+        d, e = ellipsoid(0.1), np.array([0.6, 0.8])
+        res = plane_at(0.05, e=e)
+        est = slab_measure(d, res, 0.2, n, seed=4)
+        box = measures._mirror_hull(d.bbox, res.lam, e)
+        pts = box[0] + (box[1] - box[0]) * halton_points(n, 4)
+        in_band = np.abs(pts[:, 0] * e[0] + pts[:, 1] * e[1] - res.lam) <= 0.2
+        hits = in_band & (d.contains(pts) ^ d.contains(reflect(pts, res.lam, e)))
+        mean, bar = measures._mean_3sigma(hits)
+        vol = measures._box_volume(box)
+        assert est.method == "monte-carlo"
+        assert (est.value.hex(), est.error.hex()) == ((vol * mean).hex(), (vol * bar).hex())
 
     def test_thin_band_estimate_is_never_negative(self):
         # at n = 807 the signed correction outweighs the closed-form disk part
@@ -217,6 +253,11 @@ class TestSlabMeasure:
                 slab_measure(d, res, g, 1000)
 
 
+@functools.lru_cache(maxsize=None)
+def _bump_plane(e):
+    return critical_lambda(bump_domain(1e-3, 2.0), np.array(e), tol=1e-8)
+
+
 def _last_axis_slab_measure(d, res, gamma, n, seed):
     """slab_measure's deviation-box branch with its dot products, reflection
     and disk tests taken over the last axis (``np.sum`` and
@@ -228,7 +269,7 @@ def _last_axis_slab_measure(d, res, gamma, n, seed):
                    - measures._disk_slab_closed_form(gamma, max(abs(lam) - res.tol, 0.0),
                                                      dev.radius))
     region = measures._mirror_hull(dev.box, lam, e)
-    pts = measures._draw(region, n, seed)
+    pts = region[0] + (region[1] - region[0]) * halton_points(n, seed)
     mirrored = pts - 2.0 * (np.sum(pts * e, axis=-1) - lam)[..., None] * e
     in_band = np.abs(np.sum(pts * e, axis=-1) - lam) <= gamma
     f = (d.contains(pts) ^ d.contains(mirrored)).astype(float)

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
-from fracshape import domains
+from fracshape import domains, movingplanes
 from fracshape.domains import ball, bump_domain, chart_grids, ellipsoid
-from fracshape.movingplanes import (_VIOLATION_EPS, TAG_ORTHOGONAL, TAG_TANGENCY,
-                                    TAG_UNRESOLVED, critical_lambda, reflect,
+from fracshape.movingplanes import (_SCAN_BLOCK, _VIOLATION_EPS, TAG_ORTHOGONAL,
+                                    TAG_TANGENCY, TAG_UNRESOLVED, _raw_excess,
+                                    _sorted_nodes, critical_lambda, reflect,
                                     support_value, to_record, violation)
 from fracshape.specfun import ParameterDomainError
 
@@ -25,6 +26,41 @@ def scan_grids(d, seed):
     all, their phase shifted by the seed."""
     return chart_grids(d.boundary_param, max(64, 8192 // len(d.boundary_param)),
                        (0.5 + seed * 0.6180339887498949) % 1.0)
+
+
+def scan_offsets(d, e):
+    """The offsets of ``critical_lambda``'s downward scan, top first."""
+    lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
+    step = (lam_top - lam_bot) / 400.0
+    offsets, mu = [], lam_top - step
+    while mu > lam_bot - 0.5 * step:
+        offsets.append(mu)
+        mu -= step
+    return offsets
+
+
+def worst_node_excess(d, grids, mu, e):
+    """The reflected level on the cap, minus the distance to the plane off
+    it, maximized over every node of the scan grids, with ``reflect``."""
+    nodes = np.concatenate([pts for _, _, pts, _ in grids])
+    side = nodes @ e - mu
+    cap = side > 0.0
+    return max(np.max(-np.abs(side[~cap]), initial=-np.inf),
+               np.max(d.level(reflect(nodes[cap], mu, e)), initial=-np.inf))
+
+
+def all_node_excess(d, grids, mu, e):
+    """The unrefined excess with ``violation``'s arithmetic on every node of
+    every grid: the reflected level on the cap, minus the distance to the
+    plane off it."""
+    worst = -math.inf
+    for _, _, pts, _ in grids:
+        side = pts @ e - mu
+        out = -np.abs(side)
+        cap = side > 0.0
+        out[cap] = d.level(pts[cap] - 2.0 * side[cap][:, None] * e)
+        worst = max(worst, float(np.max(out)))
+    return worst
 
 
 def refined_scan(d, e, tol, seed=0):
@@ -241,16 +277,86 @@ class TestCriticalPlane:
         d, e = ball((0.0, 0.0), 1.0), (1.0, 0.0)
         want = refined_scan(d, e, 1e-6)
         seen_below = want[0] - 3 * 2.0 / 400.0  # the disk's width is 2
+        blocks, refined = [], []
 
-        def late(*args, refine=True, **kw):
-            if refine or args[2] < seen_below:
-                return violation(*args, refine=refine, **kw)
-            return -math.inf, None
+        def late(d, nodes, p, mus, e):
+            mus = np.asarray(mus, dtype=float)
+            blocks.append(mus.size)
+            return np.where(mus < seen_below, _raw_excess(d, nodes, p, mus, e), -math.inf)
 
-        monkeypatch.setattr("fracshape.movingplanes.violation", late)
+        def counted(*args, refine=True, **kw):
+            if refine:
+                refined.append(args[2])
+            return violation(*args, refine=refine, **kw)
+
+        monkeypatch.setattr(movingplanes, "_raw_excess", late)
+        monkeypatch.setattr(movingplanes, "violation", counted)
         res = critical_lambda(d, np.array(e), tol=1e-6)
         assert (res.lam, res.case_tag, res.Lambda) == want[:3]
         np.testing.assert_array_equal(res.witness, want[3])
+        # the scan asked the late pass, 8 offsets at a time, and its refined
+        # calls stepped back up over the 3 offsets the late pass missed
+        assert blocks and max(blocks) == _SCAN_BLOCK
+        offsets = scan_offsets(d, np.array(e))
+        assert sum(mu in offsets and mu < want[0] for mu in refined) == 3
+
+    @pytest.mark.parametrize("j", [0, 7, 8, -1, None],
+                             ids=["block-0-at-0", "block-0-at-7", "block-1-at-0", "last",
+                                  "none"])
+    def test_first_violated_offset_at_a_block_edge(self, j, monkeypatch):
+        # a raw and a refined pass violated from offset j down: the scan asks
+        # for whole blocks of offsets, top first, up to the block holding j,
+        # and the bracket's lower end is offset j
+        d, e = ball((0.0, 0.0), 1.0), np.array([1.0, 0.0])
+        offsets = scan_offsets(d, e)
+        below = -math.inf if j is None else offsets[j]
+        blocks = []
+
+        def raw(d, nodes, p, mus, e):
+            mus = np.asarray(mus, dtype=float)
+            blocks.append(mus)
+            return np.where(mus <= below, 1.0, -1.0)
+
+        def refined(d, grids, mu, e, refine=True):
+            return (1.0 if mu <= below else -1.0), mu * e
+
+        monkeypatch.setattr(movingplanes, "_raw_excess", raw)
+        monkeypatch.setattr(movingplanes, "violation", refined)
+        res = critical_lambda(d, e, tol=1e-6)
+        n_blocks = -(-len(offsets) // _SCAN_BLOCK)
+        if j is not None:
+            n_blocks = j % len(offsets) // _SCAN_BLOCK + 1
+            assert below <= res.lam <= below + 1e-6
+            assert all(b.size == 1 for b in blocks[n_blocks:])  # the bisection's
+        else:
+            assert res.case_tag == TAG_UNRESOLVED and len(blocks) == n_blocks
+        scanned = offsets[:n_blocks * _SCAN_BLOCK]
+        assert np.concatenate(blocks[:n_blocks]).tobytes() == np.array(scanned).tobytes()
+
+    @pytest.mark.parametrize("make, e", [
+        (lambda: bump_domain(1e-3, 2.0), (1.0, 0.0)),
+        (lambda: bump_domain(1e-3, 2.0), (0.6, -0.8)),
+        (lambda: ellipsoid(0.1), (1.0, 1.0)),
+    ], ids=["bump-1e-3", "bump-1e-3-oblique", "ellipsoid-0.1-e11"])
+    def test_a_block_of_offsets_keeps_the_one_offset_bits(self, make, e):
+        # the raw excess of a block of offsets, of each offset alone, and of
+        # violation's arithmetic on every node are one number per offset,
+        # which is the worst node excess of the unrefined-pass test
+        d = make()
+        e = np.asarray(e) / np.linalg.norm(e)
+        grids = scan_grids(d, 0)
+        nodes, p = _sorted_nodes(grids, e)
+        offsets = np.array(scan_offsets(d, e))
+        for i in range(0, offsets.size, 5 * _SCAN_BLOCK):
+            mus = offsets[i:i + _SCAN_BLOCK]
+            block = _raw_excess(d, nodes, p, mus, e)
+            alone = [_raw_excess(d, nodes, p, [mu], e)[0] for mu in mus]
+            assert block.tobytes() == np.array(alone).tobytes()
+            assert alone == [all_node_excess(d, grids, mu, e) for mu in mus]
+            assert alone == pytest.approx([worst_node_excess(d, grids, mu, e) for mu in mus],
+                                          abs=1e-14)
+        assert violation(d, grids, offsets[-1], e, refine=False) == (
+            all_node_excess(d, grids, offsets[-1], e), None)
 
     def test_refines_only_near_the_critical_offset(self, monkeypatch):
         refined = []
@@ -292,17 +398,12 @@ class TestCriticalPlane:
         e = np.asarray(e) / np.linalg.norm(e)
         lam_top, lam_bot = support_value(d, e), -support_value(d, -e)
         grids = scan_grids(d, 0)
-        nodes = np.concatenate([pts for _, _, pts, _ in grids])
         step = (lam_top - lam_bot) / 400.0
         for k in (1, 10, 100, 200, 399):
             mu = lam_top - k * step
-            side = nodes @ e - mu
-            cap = side > 0.0
-            worst = max(np.max(-np.abs(side[~cap]), initial=-np.inf),
-                        np.max(d.level(reflect(nodes[cap], mu, e)), initial=-np.inf))
             value, point = violation(d, grids, mu, e, refine=False)
             assert point is None
-            assert value == pytest.approx(worst, abs=1e-14)
+            assert value == pytest.approx(worst_node_excess(d, grids, mu, e), abs=1e-14)
 
     def test_scan_step_follows_the_domain_width(self):
         # Lambda near 0 with the far support at -2: a step of Lambda/200
