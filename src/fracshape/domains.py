@@ -406,14 +406,10 @@ def boundary_distance(d: ImplicitDomain, x) -> np.ndarray:
     """Unsigned distance to the domain boundary (exact SDF when available)."""
     x = np.asarray(x, dtype=float)
     if d.exact_sdf is not None:
-        out = np.abs(d.exact_sdf(x))
-    elif d.boundary_param:
-        out = _chart_min_distance(d, x)
-    else:
-        raise ProjectionError("no exact SDF and no boundary parametrization")
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return np.abs(d.exact_sdf(x))
+    if d.boundary_param:
+        return _chart_min_distance(d, x)
+    raise ProjectionError("no exact SDF and no boundary parametrization")
 
 
 def signed_distance(d: ImplicitDomain, x) -> np.ndarray:

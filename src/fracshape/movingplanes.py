@@ -41,10 +41,13 @@ class CriticalPlaneResult:
 
 
 def _unit(e) -> np.ndarray:
+    """``e / |e|``; the one check of what counts as a direction."""
     e = np.asarray(e, dtype=float)
-    norm = float(np.linalg.norm(e))
-    if not norm > 0.0:
-        raise ParameterDomainError("direction must be a nonzero vector")
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf
+        norm = float(np.linalg.norm(e))
+    if not 0.0 < norm < np.inf:
+        raise ParameterDomainError(f"direction must be a nonzero vector of finite norm, "
+                                   f"got {e.tolist()}")
     return e / norm
 
 

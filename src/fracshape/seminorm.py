@@ -129,7 +129,7 @@ def _best_pair(values, chart: Chart, budget: OptimBudget):
     u = halton_points(budget.n_pairs, budget.seed)
     # Diagonal candidates: the sup of a smooth quotient often lives in the
     # coincidence limit, which blind pair sampling approaches only slowly.
-    grid = lo + span * (np.arange(_GRID) + 0.5) / _GRID
+    grid = chart_grids([chart], _GRID)[0][1]
     h = 1e-4 * span
     t_a = np.concatenate([lo + span * u[:, 0], grid, grid])
     t_b = np.concatenate([lo + span * u[:, 1], np.minimum(grid + h, hi),

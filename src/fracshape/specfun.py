@@ -69,7 +69,11 @@ def normalization_constant(n: int, s: float) -> float:
     operator value exactly one on the unit ball; the quadrature module
     validates this identity numerically.
     """
-    return s * 4.0**s * gamma(n / 2.0 + s) / (math.pi ** (n / 2.0) * gamma(1.0 - s))
+    try:
+        half = n / 2.0
+    except OverflowError as exc:  # an integer n past the float range
+        raise ParameterDomainError("dimension n overflows a float") from exc
+    return s * 4.0**s * gamma(half + s) / (math.pi ** half * gamma(1.0 - s))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,7 @@ class TestErrors:
         *[(command, "--domain", domain)
           for command in ("torsion-check", "critical-plane", "slab-measure", "boundary-integral")
           for domain in ("ball:1e4", "bump:5e-324:1.03125", "ball:1e-4")],
+        ("constants", "--n", "1" + "0" * 400),        # n / 2.0 overflows
     ])
     def test_invalid_invocations_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -150,10 +151,16 @@ class TestSupportValue:
         assert support_value(d, np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_direction_is_an_input_error(self):
+        # a zero, NaN, infinite or overflowing norm (1e-320 squares to 0) is
+        # refused before any arithmetic can warn or return a wrong value
         d = ball((0.0, 0.0), 1.0)
-        for call in (support_value, critical_lambda):
-            with pytest.raises(ParameterDomainError, match="nonzero vector"):
-                call(d, np.zeros(2))
+        for e in [(0.0, 0.0), (np.inf, 0.0), (np.nan, 1.0), (1e300, 1e300), (1e-320, 0.0)]:
+            for call in (support_value, critical_lambda):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(ParameterDomainError,
+                                       match="nonzero vector of finite norm"):
+                        call(d, np.array(e))
 
 
 class TestCriticalPlane:
